@@ -1,7 +1,8 @@
-// Ablation study for the design choices DESIGN.md calls out (not a paper
-// figure; complements Section 5's optimization analysis): recall-
-// monotonicity pruning (Prop. 3.1), diversity re-ranking, join-graph cost
-// pruning, and PK-coverage pruning, each toggled off against the default.
+// Ablation study of the pruning and ranking switches (the enable_* knobs in
+// docs/SERVING.md; not a paper figure; complements Section 5's optimization
+// analysis): recall-monotonicity pruning (Prop. 3.1), diversity re-ranking,
+// join-graph cost pruning, and PK-coverage pruning, each toggled off against
+// the default.
 //
 // Expected shape: disabling recall pruning or cost pruning inflates runtime
 // with little quality gain; disabling diversity collapses the top-k to

@@ -14,11 +14,11 @@
 namespace cajade {
 
 /// Default of CajadeConfig::apt_shard_rows: the CAJADE_APT_SHARD_ROWS
-/// environment variable when set and positive, else 0 (unsharded). The env
+/// environment variable when set and positive, else 0 (one shard). The env
 /// hook exists for the CI forced-sharding leg, which runs the whole tier-1
-/// suite over the sharded pipeline without editing every test; code that
-/// assigns the field explicitly (e.g. a differential test pinning the
-/// unsharded oracle with `= 0`) overrides it as usual.
+/// suite over multi-shard materialization without editing every test; code
+/// that assigns the field explicitly (e.g. a differential test pinning one
+/// full-range shard with `= 0`) overrides it as usual.
 inline size_t DefaultAptShardRows() {
   const char* env = std::getenv("CAJADE_APT_SHARD_ROWS");
   if (env == nullptr || *env == '\0') return 0;
@@ -109,9 +109,9 @@ struct CajadeConfig {
   size_t apt_index_cache_bytes = size_t{256} << 20;  // 256 MiB
 
   // ---- Sharded APT pipeline ------------------------------------------------
-  /// Rows of the PT selection materialized per APT shard. 0 = unsharded
-  /// legacy path (one contiguous APT per join graph — the differential
-  /// oracle). Positive values split every materialization into
+  /// Rows of the PT selection materialized per APT shard. 0 = one
+  /// full-range shard per join graph (the whole APT as one table).
+  /// Positive values split every materialization into
   /// ceil(|pt_rows| / apt_shard_rows) row-range shards that fan out across
   /// the worker pool and are mined without ever being concatenated, so the
   /// largest single join state resident at once is bounded by the shard's
@@ -121,7 +121,7 @@ struct CajadeConfig {
   /// forced-sharding leg); 0 when unset.
   size_t apt_shard_rows = DefaultAptShardRows();
 
-  // ---- Safety bounds (implementation guards, documented in DESIGN.md) -----
+  // ---- Safety bounds (implementation guards; docs/SERVING.md knob table) --
   /// Cap on refinement-pattern evaluations per APT.
   size_t refinement_budget = 20000;
   /// Cap on row-filter work (rows scanned while generating refinements) per

@@ -196,14 +196,13 @@ Result<ExplainResult> Explainer::ExplainPrepared(
   // The pool serves two fan-outs: graphs here, and — with apt_shard_rows
   // > 0 — shards inside each graph's materialization (ParallelFor nests
   // safely). Hoisted so a single-graph sharded request still parallelizes.
-  const bool sharded = config_.apt_shard_rows > 0;
   size_t threads = WorkerPool::ResolveThreads(config_.num_threads);
   std::unique_ptr<WorkerPool> local_pool;
   WorkerPool* pool = nullptr;
   if (threads > 1) {
     if (shared_pool_ != nullptr) {
       pool = shared_pool_;
-    } else if (graphs.size() > 1 || sharded) {
+    } else if (graphs.size() > 1 || config_.apt_shard_rows > 0) {
       local_pool = std::make_unique<WorkerPool>(threads);
       pool = local_pool.get();
     }
@@ -221,51 +220,32 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     const JoinGraph& graph = graphs[gi];
     GraphOutcome& oc = outcomes[gi];
     oc.ran = true;
-    // Sharded and unsharded paths differ only in APT representation; the
-    // miner consumes either through AptSliceSet and returns bit-identical
-    // results (the diff tests pin this).
-    Apt apt;
-    ShardedApt sapt;
+    // apt_shard_rows = 0 materializes one full-range shard; the miner
+    // results are bit-identical at any shard size (the diff tests pin this).
+    ShardedApt apt;
     {
       ScopedStep step(&oc.profile, "Materialize APTs");
-      Status mat_status = Status::OK();
-      if (sharded) {
-        Result<ShardedApt> r =
-            MaterializeAptSharded(pt, pt_rows, graph, *schema_graph_, *db_,
-                                  apt_options, config_.apt_shard_rows);
-        if (r.ok()) {
-          sapt = std::move(r).MoveValue();
-        } else {
-          mat_status = r.status();
-        }
-      } else {
-        Result<Apt> r =
-            MaterializeApt(pt, pt_rows, graph, *schema_graph_, *db_, apt_options);
-        if (r.ok()) {
-          apt = std::move(r).MoveValue();
-        } else {
-          mat_status = r.status();
-        }
-      }
-      if (!mat_status.ok()) {
-        if (mat_status.code() == StatusCode::kOutOfRange) {
+      Result<ShardedApt> r =
+          MaterializeAptSharded(pt, pt_rows, graph, *schema_graph_, *db_,
+                                apt_options, config_.apt_shard_rows);
+      if (!r.ok()) {
+        if (r.status().code() == StatusCode::kOutOfRange) {
           // Cost-estimate miss: the APT blew past the hard cap.
           oc.skipped_oversize = true;
         } else {
-          oc.status = mat_status;
+          oc.status = r.status();
           abort_remaining.store(true, std::memory_order_relaxed);
         }
         return;
       }
+      apt = std::move(r).MoveValue();
     }
-    if ((sharded ? sapt.num_rows() : apt.num_rows()) == 0) {
+    if (apt.num_rows() == 0) {
       return;  // context join eliminated all provenance
     }
     Rng graph_rng = graph_rngs[gi];
     PatternMiner miner(&config_, &oc.profile);
-    Result<MineResult> mine_result = sharded
-                                         ? miner.Mine(sapt, classes, &graph_rng)
-                                         : miner.Mine(apt, classes, &graph_rng);
+    Result<MineResult> mine_result = miner.Mine(apt, classes, &graph_rng);
     if (!mine_result.ok()) {
       oc.status = mine_result.status();
       abort_remaining.store(true, std::memory_order_relaxed);
@@ -274,7 +254,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     MineResult mined = std::move(mine_result).MoveValue();
     oc.mined = true;
     oc.patterns_evaluated = mined.patterns_evaluated;
-    const Table& describe_table = sharded ? sapt.schema_table() : apt.table;
+    const Table& describe_table = apt.schema_table();
     for (const auto& mp : mined.top_k) {
       Explanation e;
       e.join_graph = graph.Describe();
@@ -317,8 +297,8 @@ Result<ExplainResult> Explainer::ExplainPrepared(
   };
 
   if (pool == nullptr || graphs.size() <= 1) {
-    // Serial over graphs; a sharded materialization inside still fans its
-    // shards across `pool` when one exists (single-graph requests).
+    // Serial over graphs; a multi-shard materialization inside still fans
+    // its shards across `pool` when one exists (single-graph requests).
     for (size_t gi = 0; gi < graphs.size(); ++gi) process_graph(gi);
   } else {
     // With the serving layer's shared pool, this request's graphs are one

@@ -85,7 +85,7 @@ struct ExplainResult {
   /// shard size instead of growing with the largest APT.
   size_t peak_apt_bytes = 0;
   /// Total APT shards materialized across all mined join graphs (1 per
-  /// graph on the unsharded path).
+  /// graph with apt_shard_rows = 0).
   size_t apt_shards = 0;
   std::string t1_description;
   std::string t2_description;

@@ -2,7 +2,7 @@
 // patients, admissions, patients_admit_info, diagnoses, procedures,
 // icustays.
 //
-// Substitution note (DESIGN.md Section 1): MIMIC-III requires credentialed
+// Substitution note: MIMIC-III requires credentialed
 // access and cannot be redistributed; we generate a seeded synthetic
 // instance preserving the schema topology, cardinality ratios (multiple
 // admissions per patient, several diagnoses/procedures per admission), and

@@ -2,7 +2,7 @@
 // team, player, game, player_salary, play_for, lineup, lineup_player,
 // team_game_stats (wide), player_game_stats (wide), lineup_game_stats.
 //
-// Substitution note (DESIGN.md Section 1): the paper scrapes nba.com; we
+// Substitution note: the paper scrapes nba.com; we
 // generate a seeded synthetic instance that preserves the schema topology,
 // relative cardinalities, join fan-outs, attribute mix, and — crucially for
 // the case studies — the signals the paper's explanations recover:

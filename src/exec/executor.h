@@ -2,8 +2,8 @@
 //
 // Pipeline: per-relation predicate pushdown -> stats-driven greedy hash
 // equi-join ordering (smallest estimated build side first) -> typed join
-// kernels (ProbeEquiJoin: dense-counting / dictionary-code / packed
-// composite-key / hash+verify layouts over the flat open-addressing
+// kernels (ProbeEquiJoin, one JoinBuildIndex per join step: dense-counting /
+// packed composite-key / hash+verify layouts over the flat open-addressing
 // multimap) -> residual filters -> working-table materialization -> typed
 // hash group-by aggregation with first-seen group order. The working table
 // (the pre-aggregation join result) and the per-group row partitions are

@@ -1,23 +1,26 @@
 // Reusable multi-column hash equi-join kernels on row-id sets. Used by the
 // query executor and by augmented-provenance-table materialization.
 //
-// Two entry points share one engine:
+// One engine, JoinBuildIndex, indexes a build side (all rows of a table or
+// a row subset) and is probed by tuple streams. Everything else wraps it:
+//  - ProbeEquiJoin: indexes `build_rows`, probes once with a tuple stream
+//    whose key columns may live in different base tables (the executor's
+//    partial join result); matches come back as (probe index, build row).
 //  - HashEquiJoin: both sides are (table, row-id set) pairs.
-//  - ProbeEquiJoin: the probe side is a tuple stream whose key columns may
-//    live in different base tables (the executor's partial join result);
-//    matches come back as (probe index, build row) pairs.
+//  - AptIndexCache (src/mining/apt.h) keeps whole-table indexes alive
+//    across APT materializations.
 //
-// The engine picks a layout per join from the build side's column types and
+// The index plans its key layout from the build side's column types and
 // (when provided) precomputed TableStats:
-//  - single INT64 key: raw-value offsets, dense counting layout when the key
-//    range is small, flat open-addressing table otherwise;
-//  - single STRING key: dictionary codes, the probe dictionary remapped into
-//    the build code space once;
-//  - multi-column INT64/STRING keys whose combined range fits 64 bits:
-//    packed composite keys (mixed-radix offsets), which stay injective so
-//    probes need no equality re-check;
-//  - everything else (DOUBLE or cross-type keys, oversized ranges): canonical
-//    row-key hashes into the flat table with per-entry verification.
+//  - INT64 and STRING keys whose combined range fits 64 bits: packed
+//    composite keys (INT64 value offsets from the build minimum, STRING
+//    build-dictionary codes, mixed-radix across columns), which stay
+//    injective so probes need no equality re-check. A dense counting layout
+//    serves small key ranges, a flat open-addressing table the rest;
+//  - everything else (DOUBLE keys, oversized ranges): canonical row-key
+//    hashes into the flat table with per-entry verification.
+// Probes resolve per call: STRING probe dictionaries remap into the build
+// code space, integral DOUBLE probe values match INT64 keys exactly.
 //
 // Contracts (load-bearing for every caller, from the executor to the
 // serving layer):
@@ -58,15 +61,16 @@ struct JoinKeySpec {
 };
 
 /// One probe-side key column: a base-table column plus the row-id stream
-/// addressing it. Streams of all key columns passed to one ProbeEquiJoin call
-/// must have identical length (one entry per probe tuple); distinct columns
+/// addressing it. Streams of all key columns passed to one probe call must
+/// have identical length (one entry per probe tuple); distinct columns
 /// may draw rows from distinct streams (and distinct tables).
 struct ProbeKeyCol {
   const Column* col;
   const std::vector<int64_t>* rows;
 };
 
-/// \brief Joins a probe tuple stream against `build_rows` of `build`.
+/// \brief Joins a probe tuple stream against `build_rows` of `build`: a
+/// JoinBuildIndex over `build_rows`, probed once without a match cap.
 ///
 /// Emits (probe index, build row) pairs grouped by probe index in ascending
 /// order; within one probe tuple, build matches appear in `build_rows` order
@@ -75,9 +79,9 @@ struct ProbeKeyCol {
 /// Numeric keys compare exactly across INT64/DOUBLE without the 2^53
 /// double-precision collapse.
 ///
-/// `build_stats` (statistics of the full `build` table) lets the planner
-/// size dense layouts and pack composite keys without rescanning the build
-/// rows; pass nullptr to fall back to a per-join key-range scan.
+/// `build_stats` (statistics of the full `build` table) lets the index size
+/// dense layouts and pack composite keys without rescanning the build rows;
+/// pass nullptr to fall back to a per-join key-range scan.
 std::vector<std::pair<int64_t, int64_t>> ProbeEquiJoin(
     const Table& build, const std::vector<int64_t>& build_rows,
     const std::vector<int>& build_cols, const std::vector<ProbeKeyCol>& probe,
@@ -87,8 +91,9 @@ std::vector<std::pair<int64_t, int64_t>> ProbeEquiJoin(
 ///
 /// Output pairs are grouped by left row in the order of `left_rows` (probe
 /// side); within one left row, right matches appear in `right_rows` order.
-/// Same key semantics and layout selection as ProbeEquiJoin, of which this is
-/// a thin wrapper; `right_stats` describes the build (right) table.
+/// A thin wrapper over ProbeEquiJoin (same key semantics) that reports left
+/// row ids instead of probe indexes; `right_stats` describes the build
+/// (right) table.
 std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
     const Table& left, const std::vector<int64_t>& left_rows, const Table& right,
     const std::vector<int64_t>& right_rows, const JoinKeySpec& keys,
@@ -150,37 +155,29 @@ inline bool HasNullKey(const Table& t, int64_t row, const std::vector<int>& cols
   return false;
 }
 
-/// \brief A reusable build-side equi-join index over all rows of one table.
+/// \brief A reusable build-side equi-join index over the rows of one table.
 ///
-/// ProbeEquiJoin plans its key layout per call from both sides, so a cached
-/// build side cannot survive across probes. This class plans from the build
-/// side alone — INT64 columns encode as value offsets from the build minimum
-/// (sized from `build_stats` when given, one sequential range scan
-/// otherwise), STRING columns as the build dictionary's codes — and resolves
-/// the probe side per Probe() call (probe dictionaries remap into the build
-/// code space, integral DOUBLE probe values match INT64 keys exactly).
-/// Layouts mirror ProbeEquiJoin: dense counting when the packed key range is
-/// small, flat open-addressing on the SplitMix64-finalized packed key (a
-/// bijection, so typed probes skip verification), and canonical
-/// hash+verify for DOUBLE or oversized keys.
-///
-/// Semantics match ProbeEquiJoin exactly: null keys never match (including
-/// null vs null, and middle columns of composite keys) in every layout —
-/// enforced by explicit null checks in each key extractor, never by hash
-/// sentinel behavior — and matches per probe tuple come back in ascending
-/// build-row order. Cross-type probes that can never match (e.g. a STRING
+/// The join engine behind every equi-join in the system (layouts in the
+/// file comment). Semantics: null keys never match (including null vs
+/// null, and middle columns of composite keys) in every layout — enforced
+/// by explicit null checks in each key extractor, never by hash sentinel
+/// behavior — and matches per probe tuple come back in the order the build
+/// rows were indexed. Cross-type probes that can never match (e.g. a STRING
 /// probe against an INT64 build key) produce no pairs.
 ///
 /// The index holds a pointer to `build`, which must outlive it. Instances
 /// are immutable after construction and safe for concurrent Probe() calls.
 class JoinBuildIndex {
  public:
-  /// Indexes all rows of `build` on `build_cols`. `build_stats` (statistics
-  /// of the full table, the range tier suffices) lets planning skip the
-  /// per-column key-range scan; stale stats (row-count or arity drift) are
-  /// ignored.
+  /// Indexes `build` on `build_cols`: all rows in row order, or, when
+  /// `build_rows` is given, exactly those rows in the order given (it is
+  /// only read during construction). `build_stats` (statistics of the full
+  /// table, the range tier suffices) lets planning skip the per-column
+  /// key-range scan; stale stats (row-count or arity drift against the full
+  /// table) are ignored.
   JoinBuildIndex(const Table& build, std::vector<int> build_cols,
-                 const TableStats* build_stats = nullptr);
+                 const TableStats* build_stats = nullptr,
+                 const std::vector<int64_t>* build_rows = nullptr);
 
   /// Joins a probe tuple stream (see ProbeKeyCol; one entry per key column,
   /// `probe.size() == build_cols.size()`) against the indexed rows,
@@ -223,8 +220,22 @@ class JoinBuildIndex {
   /// Resolved probe-side access for one key column of one Probe() call.
   struct ProbeColView;
 
-  template <typename Fn>
-  void ForEachMatch(uint64_t packed, Fn&& fn) const;
+  /// Plans the layout and indexes `rows` in order.
+  void Build(const std::vector<int64_t>& rows, const TableStats* build_stats);
+  /// Dense or flat typed layout; `build_key(row, &key)` packs a row's key.
+  template <typename KeyFn>
+  void BuildTyped(const std::vector<int64_t>& rows, bool range_known,
+                  KeyFn&& build_key);
+  void BuildGeneric(const std::vector<int64_t>& rows);
+  /// Inserts rows[i] under hashes[i] for every valid[i] into the flat table.
+  void InsertStaged(const std::vector<int64_t>& rows,
+                    const std::vector<uint64_t>& hashes,
+                    const std::vector<uint8_t>& valid);
+  /// Probes a typed layout; `probe_key(t, &key)` packs tuple t's key.
+  template <typename KeyFn>
+  bool ProbeTyped(size_t n_probe, size_t max_matches,
+                  std::vector<std::pair<int64_t, int64_t>>* out,
+                  KeyFn&& probe_key) const;
 
   const Table* build_;
   std::vector<int> cols_;

@@ -572,150 +572,6 @@ Result<AptPrefixCache::StatePtr> AptPrefixCache::GetOrBuild(
   return state;
 }
 
-// ---- MaterializeApt ---------------------------------------------------------
-
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph,
-                           const SchemaGraph& schema_graph, const Database& db,
-                           const AptMaterializeOptions& options) {
-  AptIndexCache local_cache;
-  AptIndexCache* index_cache =
-      options.index_cache != nullptr ? options.index_cache : &local_cache;
-  AptPrefixCache* prefix_cache = options.prefix_cache;
-
-  ASSIGN_OR_RETURN(AptPlan plan, PlanAptSteps(graph));
-
-  Apt apt;
-  apt.pt_rows_used = pt_rows;
-  apt.num_pt_columns = pt.table.schema().num_columns();
-
-  std::vector<int> node_offset(graph.nodes().size(), -1);
-  StepContext ctx{&pt,         &graph,        &schema_graph, &db,
-                  index_cache, options.stats, options.row_limit, &node_offset};
-
-  // Current state: shared when it came from the prefix cache, local when
-  // built fresh. Steps never mutate their input, so a shared state feeds
-  // the next step exactly like a local one.
-  AptPrefixCache::StatePtr shared_cur;
-  AptJoinState local_cur;
-  bool cur_is_local = false;
-  const AptJoinState* cur = nullptr;
-
-  std::string prefix_key;
-  if (prefix_cache != nullptr) {
-    prefix_key = options.pt_fingerprint.empty()
-                     ? AptPtFingerprint(pt, pt_rows)
-                     : options.pt_fingerprint;
-    ASSIGN_OR_RETURN(shared_cur,
-                     prefix_cache->GetOrBuild(prefix_key, [&] {
-                       return BuildBaseState(pt, pt_rows);
-                     }));
-    cur = shared_cur.get();
-  } else {
-    ASSIGN_OR_RETURN(local_cur, BuildBaseState(pt, pt_rows));
-    cur_is_local = true;
-    cur = &local_cur;
-  }
-  // Peak-resident observability, recorded identically by the sharded path
-  // so the two are comparable: every resident join state (base and each
-  // step output, built or cache-hit) bumps the high-water mark.
-  if (options.metrics != nullptr) {
-    options.metrics->RecordStateBytes(AptPrefixCache::ApproxStateBytes(*cur));
-  }
-
-  size_t running_cols = pt.table.num_columns();
-  for (size_t si = 0; si < plan.steps.size(); ++si) {
-    const AptStep& step = plan.steps[si];
-    const bool last = si + 1 == plan.steps.size();
-    if (prefix_cache != nullptr && !last) {
-      // Proper prefixes go through the cache: siblings that share this
-      // graph's leading steps reuse the state instead of re-joining.
-      prefix_key += '|';
-      prefix_key += AptStepSignature(graph, schema_graph, step);
-      const AptJoinState* prev = cur;
-      ASSIGN_OR_RETURN(
-          shared_cur,
-          prefix_cache->GetOrBuild(prefix_key, [&]() -> Result<AptJoinState> {
-            return ApplyAptStep(*prev, step, ctx);
-          }));
-      cur = shared_cur.get();
-      cur_is_local = false;
-      // A cached tree-step state may exceed THIS call's cap even though its
-      // builder ran under a larger (or no) one; the abort must not depend
-      // on who built the state.
-      if (!step.cycle && ctx.row_limit > 0 &&
-          cur->table.num_rows() > ctx.row_limit) {
-        return Status::OutOfRange(
-            Format("APT exceeds row limit %zu for join graph %s",
-                   ctx.row_limit, graph.Describe().c_str()));
-      }
-    } else {
-      // The final step's state belongs to this graph alone — build it into
-      // a local so it can move into the Apt without a copy.
-      ASSIGN_OR_RETURN(AptJoinState next, ApplyAptStep(*cur, step, ctx));
-      local_cur = std::move(next);
-      cur_is_local = true;
-      cur = &local_cur;
-    }
-    if (options.metrics != nullptr) {
-      options.metrics->RecordStateBytes(
-          AptPrefixCache::ApproxStateBytes(*cur));
-    }
-    if (!step.cycle) {
-      node_offset[step.new_node] = static_cast<int>(running_cols);
-      running_cols = cur->table.num_columns();
-    }
-  }
-
-  for (size_t v = 0; v < graph.nodes().size(); ++v) {
-    if (!plan.joined[v]) {
-      return Status::InvalidArgument(
-          "join graph is disconnected: node '" + graph.nodes()[v].label +
-          "' unreachable from PT");
-    }
-  }
-
-  if (cur_is_local) {
-    apt.table = std::move(local_cur.table);
-    apt.pt_row = std::move(local_cur.pt_row);
-  } else {
-    // Final state shared with the cache (the edgeless PT-only graph):
-    // deep-copy out so the Apt owns its table.
-    apt.table = cur->table;
-    apt.pt_row = cur->pt_row;
-  }
-
-  // Pattern-eligible columns: all except the query's group-by attributes and
-  // columns flagged mining_excluded (dates, surrogate keys).
-  for (size_t c = 0; c < apt.table.num_columns(); ++c) {
-    if (apt.table.schema().column(c).mining_excluded) continue;
-    bool excluded = false;
-    for (int g : pt.group_by_pt_cols) {
-      if (static_cast<size_t>(g) == c) {
-        excluded = true;
-        break;
-      }
-    }
-    if (!excluded) apt.pattern_cols.push_back(static_cast<int>(c));
-  }
-  if (options.metrics != nullptr) {
-    options.metrics->shards.fetch_add(1, std::memory_order_relaxed);
-  }
-  return apt;
-}
-
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph,
-                           const SchemaGraph& schema_graph, const Database& db,
-                           AptIndexCache* cache, size_t row_limit) {
-  AptMaterializeOptions options;
-  options.index_cache = cache;
-  options.row_limit = row_limit;
-  return MaterializeApt(pt, pt_rows, graph, schema_graph, db, options);
-}
-
 // ---- MaterializeAptSharded --------------------------------------------------
 
 namespace {
@@ -727,6 +583,7 @@ namespace {
 Result<AptJoinState> BuildShardBaseState(const ProvenanceTable& pt,
                                          const std::vector<int64_t>& pt_rows,
                                          size_t begin, size_t end) {
+  if (begin == 0 && end == pt_rows.size()) return BuildBaseState(pt, pt_rows);
   const std::vector<int64_t> sub(pt_rows.begin() + begin,
                                  pt_rows.begin() + end);
   ASSIGN_OR_RETURN(AptJoinState state, BuildBaseState(pt, sub));
@@ -734,14 +591,14 @@ Result<AptJoinState> BuildShardBaseState(const ProvenanceTable& pt,
   return state;
 }
 
-/// Re-runs a failed sharded materialization serially, STEP-major and
-/// uncached, to surface the exact error the unsharded path would have:
+/// Re-runs a failed multi-shard materialization serially, STEP-major and
+/// uncached, to surface the exact error a single full-range shard would:
 /// shard-major schedules can pass a later step on one shard before an
 /// earlier step's cross-shard row total has tripped the limit, making the
 /// first-recorded error (OutOfRange vs. a bind error) schedule-dependent.
-/// Step-major order restores the unsharded precedence — a step's
+/// Step-major order restores the single-shard precedence — a step's
 /// resolution errors fire before its probes, and the row limit trips when
-/// the step's output summed across shards (== the unsharded step output,
+/// the step's output summed across shards (== the full-range step output,
 /// in row order) first exceeds the cap. Only runs on the error path, so
 /// its serial cost is irrelevant.
 Status DeterministicShardedError(const ProvenanceTable& pt,
@@ -831,7 +688,7 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
   std::vector<Status> shard_status(num_shards, Status::OK());
   std::vector<std::exception_ptr> shard_exception(num_shards);
   // Cross-shard step-output totals: sum over shards of a tree step's rows
-  // equals the unsharded step's output, so the limit check composes.
+  // equals the full-range step's output, so the limit check composes.
   std::vector<std::atomic<size_t>> step_total(plan.steps.size());
   for (auto& t : step_total) t.store(0, std::memory_order_relaxed);
   std::atomic<bool> abort{false};
@@ -852,8 +709,9 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
         abort.store(true, std::memory_order_relaxed);
       };
 
-      // Current state handling mirrors MaterializeApt: shared when from
-      // the prefix cache, local otherwise; steps never mutate inputs.
+      // Current state: shared when it came from the prefix cache, local
+      // when built fresh. Steps never mutate their input, so a shared state
+      // feeds the next step exactly like a local one.
       AptPrefixCache::StatePtr shared_cur;
       AptJoinState local_cur;
       bool cur_is_local = false;
@@ -863,10 +721,10 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
       if (prefix_cache != nullptr) {
         prefix_key = base_key;
         if (!(b == 0 && e == n)) {
-          // Partial-range states must never alias the unsharded states (or
-          // other shard sizes'). The full-range shard shares the plain key
-          // on purpose: its states are byte-identical to the unsharded
-          // ones, so sharded and unsharded callers warm each other.
+          // Partial-range states must never alias the full-range states (or
+          // other shard sizes'). The full-range shard uses the plain key, so
+          // MaterializeApt callers and single-shard sharded callers warm
+          // each other.
           prefix_key += Format("|shard:%zu-%zu", b, e);
         }
         auto got = prefix_cache->GetOrBuild(prefix_key, [&] {
@@ -893,6 +751,8 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
         const AptStep& step = plan.steps[si];
         const bool last = si + 1 == plan.steps.size();
         if (prefix_cache != nullptr && !last) {
+          // Proper prefixes go through the cache: siblings that share this
+          // graph's leading steps reuse the state instead of re-joining.
           prefix_key += '|';
           prefix_key += AptStepSignature(graph, schema_graph, step);
           const AptJoinState* prev = cur;
@@ -905,6 +765,8 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
           cur = shared_cur.get();
           cur_is_local = false;
         } else {
+          // The final step's state belongs to this graph alone: build it
+          // into a local so it moves into the shard without a copy.
           auto next = ApplyAptStep(*cur, step, ctx);
           if (!next.ok()) return fail(next.status());
           local_cur = std::move(next).MoveValue();
@@ -916,10 +778,10 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
               AptPrefixCache::ApproxStateBytes(*cur));
         }
         if (!step.cycle) {
-          // Covers both fresh builds and cache hits (a cached state may
-          // have been built under a larger cap — the unsharded path
-          // rechecks those too, and shard rows count toward the total
-          // either way).
+          // Covers both fresh builds and cache hits: a cached state may
+          // have been built under a larger cap, and the abort must not
+          // depend on who built it. Shard rows count toward the total
+          // either way.
           const size_t rows = cur->table.num_rows();
           const size_t total =
               step_total[si].fetch_add(rows, std::memory_order_relaxed) +
@@ -964,6 +826,12 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
   for (size_t s = 0; s < num_shards; ++s) {
     if (!shard_status[s].ok() || shard_exception[s]) failed = true;
   }
+  if (failed && num_shards == 1) {
+    // One shard runs its steps in order, so its first error already is the
+    // deterministic one.
+    if (shard_exception[0]) std::rethrow_exception(shard_exception[0]);
+    return shard_status[0];
+  }
   if (failed) {
     Status st = DeterministicShardedError(pt, pt_rows, graph, schema_graph,
                                           db, options, plan, per, num_shards);
@@ -992,7 +860,8 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
   for (const AptShard& s : apt.shards) apt.total_rows += s.table.num_rows();
 
   // Pattern-eligible columns from shard 0's (identical-across-shards)
-  // schema, with the same exclusions as the unsharded path.
+  // schema: all except the query's group-by attributes and columns flagged
+  // mining_excluded (dates, surrogate keys).
   const Table& schema_table = apt.shards.front().table;
   for (size_t c = 0; c < schema_table.num_columns(); ++c) {
     if (schema_table.schema().column(c).mining_excluded) continue;
@@ -1009,6 +878,38 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
     options.metrics->shards.fetch_add(num_shards, std::memory_order_relaxed);
   }
   return apt;
+}
+
+// ---- MaterializeApt ---------------------------------------------------------
+// The one-shard case of MaterializeAptSharded, moved into an Apt.
+
+Result<Apt> MaterializeApt(const ProvenanceTable& pt,
+                           const std::vector<int64_t>& pt_rows,
+                           const JoinGraph& graph,
+                           const SchemaGraph& schema_graph, const Database& db,
+                           const AptMaterializeOptions& options) {
+  ASSIGN_OR_RETURN(ShardedApt sharded,
+                   MaterializeAptSharded(pt, pt_rows, graph, schema_graph, db,
+                                         options, /*shard_rows=*/0));
+  AptShard& shard = sharded.shards.front();
+  Apt apt;
+  apt.table = std::move(shard.table);
+  apt.pt_row = std::move(shard.pt_row);
+  apt.pt_rows_used = std::move(sharded.pt_rows_used);
+  apt.num_pt_columns = sharded.num_pt_columns;
+  apt.pattern_cols = std::move(sharded.pattern_cols);
+  return apt;
+}
+
+Result<Apt> MaterializeApt(const ProvenanceTable& pt,
+                           const std::vector<int64_t>& pt_rows,
+                           const JoinGraph& graph,
+                           const SchemaGraph& schema_graph, const Database& db,
+                           AptIndexCache* cache, size_t row_limit) {
+  AptMaterializeOptions options;
+  options.index_cache = cache;
+  options.row_limit = row_limit;
+  return MaterializeApt(pt, pt_rows, graph, schema_graph, db, options);
 }
 
 // ---- ReferenceMaterializeApt ------------------------------------------------

@@ -14,11 +14,13 @@
 // differential-testing oracle and bench baseline (mirroring
 // ReferenceHashEquiJoin / ReferenceExecuteSpj).
 //
-// MaterializeAptSharded materializes the same APT as a sequence of
-// row-range shards (ShardedApt) that are never concatenated; the miner
-// consumes either representation through the borrowed AptSliceSet view.
-// The unsharded path stays the differential oracle: concat(shards) is
-// byte-identical to it, and errors (row-limit trips included) match.
+// MaterializeAptSharded is the one materialization body: it builds an APT
+// as a sequence of row-range shards (ShardedApt) that are never
+// concatenated, and shard_rows = 0 means one full-range shard.
+// MaterializeApt is that one-shard case moved into an Apt. At any shard
+// size, concat(shards) is byte-identical to ReferenceMaterializeApt's
+// output and errors (row-limit trips included) match. The miner consumes
+// either representation through the borrowed AptSliceSet view.
 //
 // Ownership and thread-safety: APT values own their column storage and
 // belong to the caller. The caches below own their entries and hand out
@@ -350,7 +352,7 @@ struct AptMaterializeMetrics {
   /// built or cache-hit). Under sharding this is bounded by the largest
   /// shard's fan-out rather than the full APT — the memory headline.
   std::atomic<size_t> peak_state_bytes{0};
-  /// Total shards materialized (unsharded materializations count 1).
+  /// Total shards materialized (MaterializeApt calls count 1).
   std::atomic<size_t> shards{0};
 
   void RecordStateBytes(size_t bytes) {
@@ -386,8 +388,8 @@ struct AptMaterializeOptions {
   /// nullptr disables recording. Shared across threads — it is atomic.
   AptMaterializeMetrics* metrics = nullptr;
   /// Worker pool that MaterializeAptSharded fans shards across; nullptr (or
-  /// a single shard) runs them serially on the caller. Ignored by the
-  /// unsharded MaterializeApt.
+  /// a single shard, as in MaterializeApt) runs them serially on the
+  /// caller.
   WorkerPool* pool = nullptr;
 };
 
@@ -398,7 +400,10 @@ struct AptMaterializeOptions {
 std::string AptPtFingerprint(const ProvenanceTable& pt,
                              const std::vector<int64_t>& pt_rows);
 
-/// Materializes APT(Q, D, Omega) restricted to the given PT rows.
+/// Materializes APT(Q, D, Omega) restricted to the given PT rows, as
+/// contiguous row ranges of at most `shard_rows` rows (0 or >= |pt_rows|
+/// means a single full-range shard), fanning shards across `options.pool`
+/// when one is provided.
 ///
 /// Joins proceed breadth-first from the PT node (the deterministic step
 /// order of PlanAptSteps); edges that close a cycle become post-join
@@ -406,28 +411,19 @@ std::string AptPtFingerprint(const ProvenanceTable& pt,
 /// through the query relation recorded on the edge. Null join keys never
 /// match — including null vs null and middle columns of composite keys — on
 /// tree edges and cycle-closing filters alike, matching the executor's
-/// contract. Output is bit-identical to ReferenceMaterializeApt.
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph, const SchemaGraph& schema_graph,
-                           const Database& db,
-                           const AptMaterializeOptions& options);
-
-/// Sharded materialization: splits `pt_rows` into contiguous row ranges of
-/// at most `shard_rows` rows (0 or >= |pt_rows| collapses to a single
-/// full-range shard) and materializes each range independently, fanning
-/// shards across `options.pool` when one is provided.
+/// contract.
 ///
 /// Equivalence contract (the differential tests' anchor):
-///  - concat(shards) is byte-identical to MaterializeApt's output — same
-///    rows in the same order, same dictionaries, same pattern_cols;
+///  - concat(shards) is byte-identical to ReferenceMaterializeApt's output
+///    — same rows in the same order, same dictionaries, same pattern_cols —
+///    at every shard size;
 ///  - errors are identical too: the per-step row totals summed across
-///    shards hit `options.row_limit` exactly when the unsharded step output
-///    does, and the surfaced Status (message included) matches, regardless
-///    of shard size, thread count, or scheduling;
+///    shards hit `options.row_limit` exactly when the full-range step
+///    output does, and the surfaced Status (message included) matches,
+///    regardless of shard size, thread count, or scheduling;
 ///  - prefix-cache states for partial ranges are keyed with a `|shard:b-e`
-///    suffix so they never alias unsharded states; the full-range single
-///    shard shares the unsharded keys (its states are byte-identical).
+///    suffix so they never alias full-range states; the full-range shard
+///    uses the plain keys.
 Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const std::vector<int64_t>& pt_rows,
                                          const JoinGraph& graph,
@@ -435,6 +431,13 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const Database& db,
                                          const AptMaterializeOptions& options,
                                          size_t shard_rows);
+
+/// MaterializeAptSharded with one full-range shard, moved into an Apt.
+Result<Apt> MaterializeApt(const ProvenanceTable& pt,
+                           const std::vector<int64_t>& pt_rows,
+                           const JoinGraph& graph, const SchemaGraph& schema_graph,
+                           const Database& db,
+                           const AptMaterializeOptions& options);
 
 /// Convenience overload matching the historical signature; `cache` and
 /// `row_limit` map onto AptMaterializeOptions (no prefix cache, no stats).
@@ -447,7 +450,7 @@ Result<Apt> MaterializeApt(const ProvenanceTable& pt,
 /// Differential-testing oracle and bench baseline: the scalar
 /// implementation (per-row HashRowKey/RowKeysEqual probes against a local
 /// flat index per tree edge), kept verbatim. Same results, same errors,
-/// same row order as MaterializeApt.
+/// same row order as MaterializeAptSharded at any shard size.
 Result<Apt> ReferenceMaterializeApt(const ProvenanceTable& pt,
                                     const std::vector<int64_t>& pt_rows,
                                     const JoinGraph& graph,

@@ -669,9 +669,15 @@ TEST(AptShardDiffTest, ShardSweepMatchesUnshardedAtAnyThreadCount) {
       AptPrefixCache prefix_cache;
       StatsCatalog stats;
       for (const auto& [label, graph] : MakeGraphFamily(fx)) {
+        // MaterializeApt is the one-shard case of the code under test, so
+        // the scalar reference stays the independent oracle for both.
+        Result<Apt> oracle = ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph,
+                                                     fx.sg, fx.db);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
         Result<Apt> ref = MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg,
                                          fx.db, AptMaterializeOptions{});
         ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        ExpectAptsEqual(*oracle, *ref);
         for (size_t shard_rows : sizes) {
           SCOPED_TRACE(label + " shard_rows=" + std::to_string(shard_rows) +
                        " threads=" + std::to_string(threads) +
@@ -687,6 +693,7 @@ TEST(AptShardDiffTest, ShardSweepMatchesUnshardedAtAnyThreadCount) {
               fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options, shard_rows);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           ExpectShardedEqualsApt(*ref, *got);
+          ExpectShardedEqualsApt(*oracle, *got);
           size_t expect_shards =
               shard_rows >= fx.pt_rows.size()
                   ? 1
@@ -723,6 +730,13 @@ TEST(AptShardDiffTest, RandomizedShardBoundariesMatchReference) {
       Result<Apt> ref = ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph,
                                                 fx.sg, fx.db);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      {
+        SCOPED_TRACE(label + " MaterializeApt");
+        Result<Apt> one_shard =
+            MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options);
+        ASSERT_TRUE(one_shard.ok()) << one_shard.status().ToString();
+        ExpectAptsEqual(*ref, *one_shard);
+      }
       for (int rep = 0; rep < 3; ++rep) {
         size_t shard_rows = 1 + rng.NextBounded(fx.pt_rows.size() + 8);
         SCOPED_TRACE(label + " shard_rows=" + std::to_string(shard_rows));
@@ -748,10 +762,23 @@ TEST(AptShardDiffTest, RowLimitErrorsIdenticalToUnsharded) {
     std::unique_ptr<WorkerPool> pool;
     if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
     for (const auto& [label, graph] : MakeGraphFamily(fx)) {
+      Result<Apt> oracle = ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph,
+                                                   fx.sg, fx.db, row_limit);
       AptMaterializeOptions unsharded;
       unsharded.row_limit = row_limit;
       Result<Apt> ref =
           MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, unsharded);
+      {
+        SCOPED_TRACE(label + " MaterializeApt vs reference");
+        ASSERT_EQ(oracle.ok(), ref.ok())
+            << (oracle.ok() ? ref.status() : oracle.status()).ToString();
+        if (!oracle.ok()) {
+          EXPECT_EQ(oracle.status().code(), ref.status().code());
+          EXPECT_EQ(oracle.status().message(), ref.status().message());
+        } else {
+          ExpectAptsEqual(*oracle, *ref);
+        }
+      }
       for (size_t shard_rows : sizes) {
         SCOPED_TRACE(label + " shard_rows=" + std::to_string(shard_rows) +
                      " threads=" + std::to_string(threads));
@@ -766,8 +793,10 @@ TEST(AptShardDiffTest, RowLimitErrorsIdenticalToUnsharded) {
           if (!ref.ok()) {
             EXPECT_EQ(ref.status().code(), got.status().code());
             EXPECT_EQ(ref.status().message(), got.status().message());
+            EXPECT_EQ(oracle.status().message(), got.status().message());
           } else {
             ExpectShardedEqualsApt(*ref, *got);
+            ExpectShardedEqualsApt(*oracle, *got);
           }
         }
       }
