@@ -9,7 +9,7 @@
 //    state to process-wide state so requests reuse each other's join
 //    indexes and APT prefix states (both byte-bounded, LRU-evicted, and
 //    invalidation-safe via Table::content_version keys);
-//  - one ResultCache keyed by (query, question, config) and validated by
+//  - one ResultCache keyed by (query, question) and tagged with the
 //    provenance content fingerprint, so a repeated question costs one
 //    provenance computation instead of a mining run — and goes stale the
 //    moment a base-table change alters the provenance it was mined from;
@@ -67,17 +67,17 @@ class ExplainServer {
     /// Engine configuration applied to every Explainer in the lease pool.
     /// `num_threads` sets the per-request fan-out width on the shared pool
     /// (1 keeps requests serial internally — usually right when
-    /// num_explainers already saturates the cores); the per-instance cache
-    /// byte bounds are superseded by the shared bounds below.
+    /// num_explainers already saturates the cores);
+    /// `apt_index_cache_bytes` and `apt_prefix_cache_bytes` bound the
+    /// server's shared caches. Fixed for the server's lifetime, which is
+    /// why result-cache keys need not name it.
     CajadeConfig config;
     /// Maximum concurrently running requests (= Explainer instances).
     size_t num_explainers = 4;
     /// Shared WorkerPool width; 0 = hardware concurrency.
     int pool_threads = 0;
-    /// Byte bounds of the process-wide caches.
-    size_t result_cache_bytes = ResultCache::kDefaultMaxBytes;
-    size_t index_cache_bytes = AptIndexCache::kDefaultMaxBytes;
-    size_t prefix_cache_bytes = AptPrefixCache::kDefaultMaxBytes;
+    /// Byte bound of the result cache.
+    size_t result_cache_bytes = size_t{64} << 20;  // 64 MiB
     /// Serve repeated (query, question) pairs from the result cache
     /// (fingerprint-validated). Off = every request mines.
     bool enable_result_cache = true;
@@ -152,10 +152,6 @@ class ExplainServer {
   const Database* db_;
   const SchemaGraph* schema_graph_;
   Options options_;
-  /// Hash of the result-affecting config fields, baked into every cache
-  /// key so servers with different configs never alias entries (e.g. in
-  /// tests sharing one process).
-  std::string config_hash_;
 
   WorkerPool pool_;
   AptIndexCache index_cache_;

@@ -1,14 +1,19 @@
 // Concurrency tests: WorkerPool scheduling, the threads-vs-serial
 // differential guarantee of the parallel explainer (bit-identical ranked
-// explanations at every thread count), and AptIndexCache contention.
+// explanations at every thread count), and the shared cache protocol
+// (SharedLruCache and its AptIndexCache / AptPrefixCache instances).
 // The TSan CI job runs this binary so data races fail the pipeline.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/shared_lru_cache.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 #include "src/core/explainer.h"
@@ -376,7 +381,7 @@ TEST(AptPrefixCacheTest, ConcurrentGetOrBuildBuildsEachKeyOnce) {
 
 TEST(AptPrefixCacheTest, MemoryBoundEvictsLruAndKeepsLiveStates) {
   AptJoinState probe = MakeState(0, 256);
-  const size_t state_bytes = AptPrefixCache::ApproxStateBytes(probe);
+  const size_t state_bytes = ApproxStateBytes(probe);
   // Room for about two states.
   AptPrefixCache cache(2 * state_bytes + state_bytes / 2);
   auto s0 = cache.GetOrBuild("a", [] { return Result<AptJoinState>(MakeState(0, 256)); });
@@ -411,6 +416,116 @@ TEST(AptPrefixCacheTest, FailedBuildsPropagateAndAreNotCached) {
   });
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ((*r2)->table.num_rows(), 8u);
+}
+
+// ---- SharedLruCache protocol ------------------------------------------------
+
+size_t StringBytes(const std::string& s) { return s.size(); }
+using StringCache = SharedLruCache<std::string, &StringBytes>;
+
+template <typename Cond>
+void SpinUntil(Cond cond) {
+  while (!cond()) std::this_thread::yield();
+}
+
+TEST(SharedLruCacheTest, ThrowingBuildReachesEveryWaiterAndIsNotCached) {
+  StringCache cache;
+  constexpr int kCallers = 6;
+  std::atomic<int> build_calls{0};
+  std::vector<std::exception_ptr> caught(kCallers);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        (void)cache.GetOrBuild("k", [&]() -> Result<std::string> {
+          build_calls.fetch_add(1);
+          // Throw only once every other caller waits on this flight.
+          SpinUntil([&] { return cache.hits() == kCallers - 1; });
+          throw std::runtime_error("build failed");
+        });
+      } catch (const std::runtime_error&) {
+        caught[t] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(build_calls.load(), 1);
+  for (int t = 0; t < kCallers; ++t) {
+    ASSERT_NE(caught[t], nullptr) << "caller " << t;
+    EXPECT_EQ(caught[t], caught[0]) << "caller " << t;
+  }
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.builds(), 0u);
+  EXPECT_EQ(cache.bytes_in_use(), 0u);
+  // The failure was not cached: a later call rebuilds.
+  auto v = cache.GetOrBuild("k", [] { return Result<std::string>("ok"); });
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(**v, "ok");
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.builds(), 1u);
+}
+
+TEST(SharedLruCacheTest, TagChangeDetachesInFlightBuild) {
+  StringCache cache;
+  std::atomic<bool> release_old{false};
+  Result<StringCache::ValuePtr> old_builder = Status::Internal("not run");
+  Result<StringCache::ValuePtr> old_waiter = Status::Internal("not run");
+  std::thread builder([&] {
+    old_builder = cache.GetOrBuild(
+        "k",
+        [&]() -> Result<std::string> {
+          SpinUntil([&] { return release_old.load(); });
+          return std::string("old");
+        },
+        "v1");
+  });
+  SpinUntil([&] { return cache.misses() == 1; });
+  std::thread waiter([&] {
+    old_waiter = cache.GetOrBuild(
+        "k",
+        []() -> Result<std::string> {
+          return Status::Internal("a waiter must not build");
+        },
+        "v1");
+  });
+  SpinUntil([&] { return cache.hits() == 1; });
+
+  // A new tag while "v1" is still building: invalidate and rebuild now.
+  auto fresh = cache.GetOrBuild(
+      "k", [] { return Result<std::string>("new"); }, "v2");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(**fresh, "new");
+
+  release_old.store(true);
+  builder.join();
+  waiter.join();
+  // The detached flight served its own caller and waiter...
+  ASSERT_TRUE(old_builder.ok());
+  ASSERT_TRUE(old_waiter.ok());
+  EXPECT_EQ(**old_builder, "old");
+  EXPECT_EQ(old_waiter->get(), old_builder->get());
+  // ...but was not retained and did not displace its replacement.
+  EXPECT_EQ(cache.invalidations(), 1u);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.bytes_in_use(), std::string("new").size() +
+                                      std::string("k").size() +
+                                      std::string("v2").size());
+  auto again = cache.GetOrBuild(
+      "k", [] { return Result<std::string>("rebuilt"); }, "v2");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), fresh->get());
+}
+
+TEST(SharedLruCacheTest, OversizeEntryIsServedButEvicted) {
+  StringCache cache(/*max_bytes=*/8);
+  auto big = cache.GetOrBuild(
+      "big", [] { return Result<std::string>(std::string(100, 'x')); });
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ((*big)->size(), 100u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.bytes_in_use(), 0u);
+  // Charged value + key before eviction.
+  EXPECT_EQ(cache.peak_bytes(), 100u + std::string("big").size());
 }
 
 }  // namespace

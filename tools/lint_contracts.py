@@ -25,7 +25,10 @@ Three checks, each meant to stop a specific silent-rot failure mode:
    appear backticked in docs/SERVING.md's engine-knobs tables. A knob added
    without a documented default and meaning is invisible to operators; this
    bit the sharded-APT work (`apt_shard_rows` gates a whole pipeline), so
-   the contract is enforced for all knobs.
+   the contract is enforced for all knobs. The reverse direction holds too:
+   an `Options::x` table row must name a field of ExplainServer::Options
+   (src/serve/explain_server.h), and a row of the engine-knobs section must
+   name a CajadeConfig field, so a removed knob cannot stay documented.
 
 Usage:
   python3 tools/lint_contracts.py [root]     lint the tree (root defaults to
@@ -236,7 +239,9 @@ def check_header_contracts(root):
 
 
 CONFIG_HEADER = os.path.join("src", "core", "config.h")
+SERVER_HEADER = os.path.join("src", "serve", "explain_server.h")
 KNOBS_DOC = os.path.join("docs", "SERVING.md")
+ENGINE_KNOBS_HEADING = "## Engine knobs"
 
 # A CajadeConfig field declaration: built-in scalar type, snake_case name,
 # initializer. The declared types are deliberately enumerated — locals in
@@ -245,9 +250,47 @@ CONFIG_FIELD = re.compile(
     r"^\s*(?:int|double|bool|size_t|uint64_t)\s+([a-z][a-z0-9_]*)\s*=",
     re.MULTILINE)
 
+# A data member of ExplainServer::Options: type, snake_case name, then an
+# initializer or the end of the declaration.
+OPTIONS_FIELD = re.compile(
+    r"^\s*[A-Za-z_][\w:<>]*\s+([a-z][a-z0-9_]*)\s*[=;]", re.MULTILINE)
+
+# Table rows whose first cell is one backticked name: `Options::x` rows and
+# engine-knob rows (`x`).
+OPTIONS_ROW = re.compile(r"^\|\s*`Options::([a-z][a-z0-9_]*)`", re.MULTILINE)
+KNOB_ROW = re.compile(r"^\|\s*`([a-z][a-z0-9_]*)`\s*\|", re.MULTILINE)
+
+
+def server_option_fields(root):
+    """Field names of ExplainServer::Options, or an empty set when the
+    header (or the struct) is absent."""
+    path = os.path.join(root, SERVER_HEADER)
+    if not os.path.exists(path):
+        return set()
+    with open(path, encoding="utf-8") as f:
+        code = strip_comments_and_strings(f.read())
+    m = re.search(r"\bstruct\s+Options\s*\{", code)
+    if not m:
+        return set()
+    depth, i = 1, m.end()
+    while i < len(code) and depth:
+        depth += {"{": 1, "}": -1}.get(code[i], 0)
+        i += 1
+    return set(OPTIONS_FIELD.findall(code[m.end():i - 1]))
+
+
+def engine_knobs_section(doc):
+    """The doc text from the engine-knobs heading to the next ## heading."""
+    start = doc.find(ENGINE_KNOBS_HEADING)
+    if start < 0:
+        return ""
+    end = doc.find("\n## ", start + len(ENGINE_KNOBS_HEADING))
+    return doc[start:] if end < 0 else doc[start:end]
+
 
 def check_config_knobs(root):
-    """Every CajadeConfig field has a backticked row in SERVING.md."""
+    """Every CajadeConfig field has a backticked row in SERVING.md, and
+    every knob row there names a field that exists."""
     config = os.path.join(root, CONFIG_HEADER)
     if not os.path.exists(config):
         return []  # partial tree (e.g. self-test fixtures without an engine)
@@ -266,6 +309,19 @@ def check_config_knobs(root):
                 f"{CONFIG_HEADER}: config knob '{name}' has no backticked "
                 f"entry in {KNOBS_DOC} — add it to the engine-knobs tables "
                 f"(default + meaning)")
+    options = server_option_fields(root)
+    for name in OPTIONS_ROW.findall(doc):
+        if name not in options:
+            errors.append(
+                f"{KNOBS_DOC}: row `Options::{name}` names no field of "
+                f"ExplainServer::Options in {SERVER_HEADER} — stale row, "
+                f"remove or rename it")
+    for name in KNOB_ROW.findall(engine_knobs_section(doc)):
+        if name not in fields:
+            errors.append(
+                f"{KNOBS_DOC}: engine-knob row `{name}` names no "
+                f"CajadeConfig field in {CONFIG_HEADER} — stale row, remove "
+                f"or rename it")
     return errors
 
 
@@ -338,13 +394,45 @@ struct MiniConfig {
 #endif
 """
 
+CLEAN_SERVER = """\
+// Mini server.
+//
+// Ownership and thread-safety: owns its workers; Serve() is thread-safe.
+#ifndef MINI_SRC_SERVE_EXPLAIN_SERVER_H_
+#define MINI_SRC_SERVE_EXPLAIN_SERVER_H_
+class Server {
+ public:
+  struct Options {
+    MiniConfig config;
+    size_t num_workers = 4;
+    // size_t retired_bytes = 1;  // commented out: not a field
+  };
+};
+#endif
+"""
+
 CLEAN_SERVING = """\
 # Serving
+
+## Knobs
+
+| Option | Default | Meaning |
+| --- | --- | --- |
+| `Options::config` | — | engine config |
+| `Options::num_workers` | 4 | workers |
+
+## Engine knobs
 
 | Knob | Default | Meaning |
 | --- | --- | --- |
 | `widget_count` | 3 | widgets per request |
 | `shard_rows` | 0 | rows per shard (0 = unsharded) |
+
+## Memory bounds
+
+| Bound | Set by | Observed via |
+| --- | --- | --- |
+| Widgets | `widget_count` | `peak_widgets` |
 """
 
 
@@ -362,6 +450,7 @@ def make_clean_tree(root):
                   CLEAN_CI)
     write_fixture(root, "BENCH_widget.json", CLEAN_JSON)
     write_fixture(root, CONFIG_HEADER, CLEAN_CONFIG)
+    write_fixture(root, SERVER_HEADER, CLEAN_SERVER)
     write_fixture(root, KNOBS_DOC, CLEAN_SERVING)
 
 
@@ -430,6 +519,22 @@ def self_test():
              CLEAN_CONFIG.replace("  size_t shard_rows = 0;",
                                   "  size_t shard_rows = 0;\n"
                                   "  int shard_extra = 1;")),
+         True)
+    case("stale Options:: knob row caught",
+         lambda root: write_fixture(
+             root, KNOBS_DOC,
+             CLEAN_SERVING.replace(
+                 "| `Options::num_workers` | 4 | workers |\n",
+                 "| `Options::num_workers` | 4 | workers |\n"
+                 "| `Options::retired_bytes` | 1 | removed bound |\n")),
+         True)
+    case("stale engine-knob row caught",
+         lambda root: write_fixture(
+             root, KNOBS_DOC,
+             CLEAN_SERVING.replace(
+                 "| `shard_rows` | 0 | rows per shard (0 = unsharded) |\n",
+                 "| `shard_rows` | 0 | rows per shard (0 = unsharded) |\n"
+                 "| `retired_knob` | 0.5 | removed knob |\n")),
          True)
     case("missing knobs doc caught when config exists",
          lambda root: os.remove(os.path.join(root, KNOBS_DOC)),
