@@ -405,42 +405,75 @@ void BM_PatternKernelMatchMask(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternKernelMatchMask);
 
-/// The refinement inner loop in isolation — compile one numeric predicate,
-/// filter the parent match mask into a reused child mask, project it onto
-/// PT positions, score via bitmap popcounts — reporting heap allocations
-/// per pattern (0 in steady state).
+/// The refinement inner step in isolation: AND the parent match mask with
+/// the predicate's precomputed mask (built once per Mine, outside the loop
+/// here too), popcount, project onto PT positions, score via bitmap
+/// popcounts. Reports heap allocations per pattern (0 in steady state).
 void BM_RefineStep(benchmark::State& state) {
   auto& fx = ExampleFixture::Get();
   int pts_col = fx.apt.table.schema().FindColumn("player_game_scoring.pts");
   PatternPredicate pred = PatternPredicate::Make(fx.apt.table, pts_col,
                                                  PredOp::kGe, Value(int64_t{10}));
+  const size_t rows = fx.apt.num_rows();
+  CoverageBitmap premask;
+  premask.ResetForOverwrite(rows);
+  CompiledPredicate::Compile(pred, fx.apt.table)
+      .EvalMask(rows, premask.MutableWords());
   MetricsView full = FullView(fx.apt, fx.classes);
   CoverageScorer scorer(fx.classes, full);
   CoverageBitmap covered;
-  CoverageBitmap parent(fx.apt.num_rows());
+  CoverageBitmap parent(rows);
   parent.SetAll();
   CoverageBitmap child;
-  child.ResetForOverwrite(fx.apt.num_rows());
+  child.ResetForOverwrite(rows);
   covered.Reset(scorer.num_positions());
 
   size_t allocs = 0;
   for (auto _ : state) {
     size_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    CompiledPredicate cp = CompiledPredicate::Compile(pred, fx.apt.table);
-    cp.FilterMask(fx.apt.num_rows(), parent.words().data(), fx.apt.num_rows(),
-                  child.MutableWords());
+    size_t matched = AndInto(parent.words().data(), premask.words().data(),
+                             child.num_words(), child.MutableWords());
     covered.Reset(scorer.num_positions());
     CoverageScorer::CoverageFromMask(child, fx.apt.pt_row, &covered);
     PatternScores s0 = scorer.Score(covered, 0);
     PatternScores s1 = scorer.Score(covered, 1);
+    benchmark::DoNotOptimize(matched);
     benchmark::DoNotOptimize(s0.fscore + s1.fscore);
     allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
   }
-  state.SetItemsProcessed(state.iterations() * fx.apt.num_rows());
+  state.SetItemsProcessed(state.iterations() * rows);
   state.counters["heap_allocs_per_pattern"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_RefineStep);
+
+/// Refinement plus top-k end to end: PatternMiner::Mine over the example
+/// APT with feature selection off, so every attribute is refined. Reports
+/// heap allocations per evaluated pattern, fixed per-Mine setup included.
+void BM_RefineSearch(benchmark::State& state) {
+  auto& fx = ExampleFixture::Get();
+  CajadeConfig config;
+  config.enable_feature_selection = false;
+  PatternMiner miner(&config, nullptr);
+  size_t allocs = 0;
+  size_t patterns = 0;
+  for (auto _ : state) {
+    Rng local(4);  // the same search every iteration
+    size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    auto result = miner.Mine(fx.apt, fx.classes, &local);
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    patterns += result->patterns_evaluated;
+  }
+  state.counters["patterns"] =
+      static_cast<double>(patterns) / static_cast<double>(state.iterations());
+  state.counters["heap_allocs_per_pattern"] =
+      static_cast<double>(allocs) / static_cast<double>(patterns);
+}
+BENCHMARK(BM_RefineSearch);
 
 void BM_LcaCandidates(benchmark::State& state) {
   auto& fx = ExampleFixture::Get();

@@ -117,6 +117,19 @@ class CoverageBitmap {
   size_t num_bits_ = 0;
 };
 
+/// out = a AND b over `num_words` words; returns popcount(out). The
+/// refinement step: a parent match mask ANDed with a precomputed predicate
+/// mask. `out` may alias `a` or `b`.
+inline size_t AndInto(const uint64_t* a, const uint64_t* b, size_t num_words,
+                      uint64_t* out) {
+  size_t pop = 0;
+  for (size_t w = 0; w < num_words; ++w) {
+    out[w] = a[w] & b[w];
+    pop += static_cast<size_t>(__builtin_popcountll(out[w]));
+  }
+  return pop;
+}
+
 /// Calls `fn(bit_index)` for every set bit of `words` (ascending). Zero
 /// words are skipped, so cost tracks the popcount, not the span. The shared
 /// idiom behind the kernels' sparse paths and mask→coverage projection.

@@ -1,9 +1,9 @@
 #include "src/mining/miner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <set>
-#include <unordered_set>
+#include <numeric>
 
 #include "src/mining/coverage.h"
 #include "src/mining/lca.h"
@@ -118,44 +118,331 @@ std::vector<double> FragmentBoundaries(const AptSliceSet& ss,
   return bounds;
 }
 
-/// Recursive-refinement driver state. The coverage bitmap and the per-depth
-/// per-slice mask buffers are owned here and reused across every pattern
-/// evaluated, so the refinement loop itself performs no per-pattern heap
-/// allocation for scoring or row filtering.
+/// One tree slot: a predicate plus its Pattern::Key() part, built once.
+struct RankPred {
+  PatternPredicate pred;
+  std::string key_part;
+};
+
+/// \brief The compact refinement tree of one Mine call.
+///
+/// Roots are whole patterns (the seeds). Every other node adds one slot to
+/// its parent's pattern, so a refinement child costs one 12-byte node, not
+/// a copied and re-sorted Pattern. Children that refine with the same
+/// (attribute, op, boundary) share one slot. Ranking gathers a node's
+/// predicate list on demand; Patterns are built only for the winners.
+class PatternTree {
+ public:
+  /// Adds a slot holding `pred`; returns its id.
+  uint32_t AddSlot(PatternPredicate pred) {
+    std::string key_part = pred.KeyPart();
+    slots_.push_back({std::move(pred), std::move(key_part)});
+    return static_cast<uint32_t>(slots_.size() - 1);
+  }
+
+  /// Adds a root binding the predicates of `pattern`; returns its node id.
+  uint32_t AddRoot(const Pattern& pattern) {
+    const auto first = static_cast<uint32_t>(slots_.size());
+    for (const PatternPredicate& p : pattern.preds) AddSlot(p);
+    nodes_.push_back({-1, first, static_cast<uint32_t>(slots_.size())});
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+
+  /// Adds a child of `parent` that also binds `slot`; returns its node id.
+  uint32_t AddChild(uint32_t parent, uint32_t slot) {
+    nodes_.push_back({static_cast<int32_t>(parent), slot, slot + 1});
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+
+  /// True for a root without predicates: the empty pattern.
+  bool IsEmptyRoot(uint32_t node) const {
+    return nodes_[node].parent < 0 && nodes_[node].first == nodes_[node].last;
+  }
+
+  /// Fills `out` with the predicates of `node`'s pattern in (col, op)
+  /// order, the order of Pattern::preds. Allocation-free once `out` has
+  /// grown to the longest pattern. Pointers stay valid while no slot is
+  /// added.
+  void Gather(uint32_t node, std::vector<const RankPred*>* out) const {
+    out->clear();
+    for (int64_t n = node; n >= 0; n = nodes_[n].parent) {
+      for (uint32_t s = nodes_[n].first; s < nodes_[n].last; ++s) {
+        out->push_back(&slots_[s]);
+      }
+    }
+    std::sort(out->begin(), out->end(),
+              [](const RankPred* a, const RankPred* b) {
+                if (a->pred.col != b->pred.col) return a->pred.col < b->pred.col;
+                return static_cast<int>(a->pred.op) <
+                       static_cast<int>(b->pred.op);
+              });
+  }
+
+  /// The Pattern of `node`.
+  Pattern Build(uint32_t node) const {
+    std::vector<const RankPred*> preds;
+    Gather(node, &preds);
+    Pattern pattern;
+    pattern.preds.reserve(preds.size());
+    for (const RankPred* p : preds) pattern.preds.push_back(p->pred);
+    return pattern;
+  }
+
+ private:
+  /// A node binds slots [first, last): a root its pattern's, a child one.
+  struct Node {
+    int32_t parent;  // -1 for a root
+    uint32_t first;
+    uint32_t last;
+  };
+
+  std::vector<RankPred> slots_;
+  std::vector<Node> nodes_;
+};
+
+/// A scored pool entry: a tree node with its scores for one primary tuple.
+struct PoolEntry {
+  uint32_t node;
+  int primary;
+  PatternScores scores;
+};
+
+/// D(phi, phi') over two predicate lists in column order; `pred` maps a
+/// list element to its PatternPredicate. Constants compare as Values: two
+/// fragment bounds can truncate to the same INT64.
+template <typename T, typename GetPred>
+double Diversity(const T* a, size_t na, const T* b, size_t nb, GetPred pred) {
+  if (na == 0) return 1.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < na; ++i) {
+    const PatternPredicate& pa = pred(a[i]);
+    const PatternPredicate* pb = nullptr;
+    for (size_t j = 0; j < nb && pb == nullptr; ++j) {
+      if (pred(b[j]).col == pa.col) pb = &pred(b[j]);
+    }
+    if (pb == nullptr) {
+      sum += 1.0;
+    } else if (pa.value == pb->value) {
+      sum += -2.0;
+    } else {
+      sum += -0.3;
+    }
+  }
+  return sum / static_cast<double>(na);
+}
+
+/// Three-way comparison of the Pattern::Key() strings of two predicate
+/// lists in (col, op) order. Leading slots the lists share add equal text
+/// and are skipped. The first differing key parts then decide, unless one
+/// is a prefix of the other; only that rare case joins the remaining parts
+/// into the two reused buffers.
+int CompareKeys(const RankPred* const* a, size_t na, const RankPred* const* b,
+                size_t nb, std::string* buf_a, std::string* buf_b) {
+  size_t i = 0;
+  while (i < na && i < nb && a[i] == b[i]) ++i;
+  if (i == na || i == nb) {
+    return static_cast<int>(na > i) - static_cast<int>(nb > i);
+  }
+  const std::string& pa = a[i]->key_part;
+  const std::string& pb = b[i]->key_part;
+  const size_t common = std::min(pa.size(), pb.size());
+  if (int c = pa.compare(0, common, pb, 0, common); c != 0) return c;
+  auto join = [i](const RankPred* const* preds, size_t n, std::string* out) {
+    out->clear();
+    for (size_t j = i; j < n; ++j) {
+      if (j > i) *out += '&';
+      *out += preds[j]->key_part;
+    }
+  };
+  join(a, na, buf_a);
+  join(b, nb, buf_b);
+  return buf_a->compare(*buf_b);
+}
+
+/// Candidates examined by the greedy diversity pass.
+constexpr size_t kDiversityWindow = 2000;
+
+/// SelectTopKDiverse over tree nodes, in the total order documented in
+/// miner.h. Predicate lists are gathered once, and only for the entries
+/// the key order can reach: those at or above the window's threshold
+/// F-score. Keys are compared only inside F-score tie runs.
+std::vector<size_t> RankTopK(const PatternTree& tree,
+                             const std::vector<PoolEntry>& pool, size_t k,
+                             bool use_diversity) {
+  if (k == 0 || pool.empty()) return {};
+  auto fscore = [&](size_t i) { return pool[i].scores.fscore; };
+  const size_t window = use_diversity ? kDiversityWindow : k;
+  std::vector<size_t> order(pool.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  auto reached = order.end();
+  if (order.size() > window) {
+    // The window is the head of the total order: every entry above the
+    // threshold F-score, then the smallest keys of the tie run at it.
+    std::nth_element(order.begin(), order.begin() + (window - 1), order.end(),
+                     [&](size_t a, size_t b) { return fscore(a) > fscore(b); });
+    const double threshold = fscore(order[window - 1]);
+    const auto ties = std::partition(order.begin(), order.end(), [&](size_t i) {
+      return fscore(i) > threshold;
+    });
+    reached = std::partition(
+        ties, order.end(), [&](size_t i) { return fscore(i) == threshold; });
+  }
+
+  // preds[first[i] .. first[i] + count[i]) lists entry i's predicates.
+  std::vector<const RankPred*> preds;
+  std::vector<uint32_t> first(pool.size()), count(pool.size());
+  std::vector<const RankPred*> gathered;
+  for (auto it = order.begin(); it != reached; ++it) {
+    tree.Gather(pool[*it].node, &gathered);
+    first[*it] = static_cast<uint32_t>(preds.size());
+    count[*it] = static_cast<uint32_t>(gathered.size());
+    preds.insert(preds.end(), gathered.begin(), gathered.end());
+  }
+  std::string buf_a, buf_b;
+  auto before = [&](size_t a, size_t b) {
+    if (fscore(a) != fscore(b)) return fscore(a) > fscore(b);
+    if (int c = CompareKeys(preds.data() + first[a], count[a],
+                            preds.data() + first[b], count[b], &buf_a, &buf_b);
+        c != 0) {
+      return c < 0;
+    }
+    return a < b;
+  };
+  if (order.size() > window) {
+    const auto last = order.begin() + static_cast<ptrdiff_t>(window - 1);
+    std::nth_element(order.begin(), last, reached, before);
+    order.resize(window);
+  }
+  std::sort(order.begin(), order.end(), before);
+  if (!use_diversity) return order;
+
+  auto diversity = [&](size_t a, size_t b) {
+    return Diversity(preds.data() + first[a], count[a], preds.data() + first[b],
+                     count[b], [](const RankPred* r) -> const PatternPredicate& {
+                       return r->pred;
+                     });
+  };
+  // Greedy wscore = F-score + min D over the picks. min_d[pos] is a running
+  // minimum updated against the newest pick only; min is exact, so the
+  // picks equal a full rescan of every pick.
+  std::vector<double> min_d(order.size(), 1e18);
+  std::vector<bool> used(order.size(), false);
+  std::vector<size_t> selected;
+  while (selected.size() < k) {
+    double best_score = -1e18;
+    size_t best_pos = SIZE_MAX;
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      if (used[pos]) continue;
+      double wscore = fscore(order[pos]);
+      if (!selected.empty()) wscore += min_d[pos];
+      if (wscore > best_score) {
+        best_score = wscore;
+        best_pos = pos;
+      }
+    }
+    if (best_pos == SIZE_MAX) break;
+    used[best_pos] = true;
+    selected.push_back(order[best_pos]);
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      if (!used[pos]) {
+        min_d[pos] = std::min(min_d[pos], diversity(order[pos], order[best_pos]));
+      }
+    }
+  }
+  return selected;
+}
+
+/// Recursive-refinement driver state. Everything a candidate needs is built
+/// once per Mine: the predicate table (slots plus per-slice masks), the
+/// coverage bitmap, and the per-depth mask buffers. Evaluating a pattern
+/// therefore allocates nothing beyond amortized growth of the node and pool
+/// vectors.
 struct RefineContext {
   const AptSliceSet* slices;
-  const PtClasses* classes;
-  const MetricsView* view;
   const CajadeConfig* config;
-  StepProfiler* profiler;
-  std::vector<int> numeric_attrs;                 // A_num (APT columns)
-  std::vector<std::vector<double>> boundaries;    // per numeric attr
-  std::vector<MinedPattern>* pool;
+  PatternTree* tree;
+  std::vector<PoolEntry>* pool;
+  /// Predicate table. The candidates of numeric attribute a are
+  /// [attr_begin[a], attr_begin[a+1]), in (op, boundary) order; candidate
+  /// j binds tree slot cand_slot[j], and its mask over every row of slice
+  /// si is slice_words[si] words at premasks[si][j * slice_words[si]].
+  std::vector<uint32_t> attr_begin;
+  std::vector<uint32_t> cand_slot;
+  std::vector<size_t> slice_words;
+  std::vector<std::vector<uint64_t>> premasks;
   CoverageScorer scorer;                          // built once per Mine()
   CoverageBitmap covered;                         // reusable scratch
-  /// Child match masks / popcounts: [depth][slice]. Pre-sized in
-  /// MineSlices to the maximum recursion depth so references stay stable
-  /// across recursive calls.
+  /// Child match masks: [depth][slice]. Pre-sized in MineSlices to the
+  /// maximum recursion depth so references stay stable across recursive
+  /// calls.
   std::vector<std::vector<CoverageBitmap>> mask_arena;
-  std::vector<std::vector<size_t>> count_arena;
   bool pt_identity = false;  // single identity slice: mask == coverage
   size_t evaluated = 0;
   size_t row_work = 0;
   bool budget_exhausted = false;
+  double fscore_seconds = 0.0;  // scoring time inside the refinement phase
 };
 
-/// Scores `pattern` from its per-slice match masks (bit r of masks[si] =
-/// slice si row r matches; `total_count` sums the per-slice popcounts in
-/// `matched_counts`), appends qualifying pool entries, and recursively
-/// refines with numeric predicates on attributes after `next_attr` (the
-/// ordering removes duplicate generation). `depth` indexes the arena masks
-/// children of this call filter into; the caller's `matched_masks` live at
-/// depth-1 (or in the seed) and stay untouched. Coverage merging is the
-/// shard-native core: per-slice masks project (global pt_row values) into
-/// ONE PT-wide coverage bitmap, so scores are independent of the slicing.
-void ExpandPattern(RefineContext& ctx, const Pattern& pattern,
+/// Builds the predicate table: for each numeric attribute, op and
+/// non-trivial fragment boundary, the constant (INT64 columns truncate the
+/// boundary), its tree slot, and one EvalMask per slice. A child's match
+/// mask is then its parent's ANDed with the candidate's mask, which is
+/// bit-identical to filtering the parent by the predicate.
+void BuildPredicateTable(const AptSliceSet& ss, const MetricsView& view,
+                         const std::vector<int>& num_attrs, int num_fragments,
+                         RefineContext* ctx) {
+  const Table& schema = ss.schema_table();
+  std::vector<PatternPredicate> preds;
+  ctx->attr_begin.assign(1, 0);
+  for (int col : num_attrs) {
+    const std::vector<double> bounds =
+        FragmentBoundaries(ss, view, col, num_fragments);
+    for (PredOp op : {PredOp::kLe, PredOp::kGe}) {
+      for (size_t b = 0; b < bounds.size(); ++b) {
+        // Skip trivial predicates: <= max or >= min match everything.
+        if (op == PredOp::kLe && b + 1 == bounds.size()) continue;
+        if (op == PredOp::kGe && b == 0) continue;
+        const double c = bounds[b];
+        Value constant = schema.column(col).type() == DataType::kInt64
+                             ? Value(static_cast<int64_t>(c))
+                             : Value(c);
+        preds.push_back(
+            PatternPredicate::Make(schema, col, op, std::move(constant)));
+      }
+    }
+    ctx->attr_begin.push_back(static_cast<uint32_t>(preds.size()));
+  }
+  const std::vector<AptSlice>& slices = ss.slices;
+  ctx->slice_words.resize(slices.size());
+  ctx->premasks.resize(slices.size());
+  for (size_t si = 0; si < slices.size(); ++si) {
+    const size_t rows = slices[si].num_rows();
+    const size_t words = CoverageBitmap::NumWords(rows);
+    ctx->slice_words[si] = words;
+    ctx->premasks[si].resize(preds.size() * words);
+    for (size_t j = 0; j < preds.size(); ++j) {
+      CompiledPredicate::Compile(preds[j], *slices[si].table)
+          .EvalMask(rows, ctx->premasks[si].data() + j * words);
+    }
+  }
+  ctx->cand_slot.reserve(preds.size());
+  for (PatternPredicate& p : preds) {
+    ctx->cand_slot.push_back(ctx->tree->AddSlot(std::move(p)));
+  }
+}
+
+/// Scores tree node `node` from its per-slice match masks (bit r of
+/// masks[si] = slice si row r matches; `total_count` is their summed
+/// popcount), appends qualifying pool entries, and recursively refines
+/// with numeric predicates on attributes after `next_attr` (the ordering
+/// removes duplicate generation). `depth` is the node's number of numeric
+/// predicates and indexes the arena masks its children filter into; the
+/// caller's `matched_masks` live at depth-1 (or in the seed) and stay
+/// untouched. Coverage merging is the shard-native
+/// core: per-slice masks project (global pt_row values) into ONE PT-wide
+/// coverage bitmap, so scores are independent of the slicing.
+void ExpandPattern(RefineContext& ctx, uint32_t node,
                    const std::vector<CoverageBitmap>& matched_masks,
-                   const std::vector<size_t>& matched_counts,
                    size_t total_count, size_t next_attr, size_t depth) {
   if (ctx.evaluated >= ctx.config->refinement_budget ||
       ctx.row_work >= ctx.config->refinement_row_budget) {
@@ -170,86 +457,59 @@ void ExpandPattern(RefineContext& ctx, const Pattern& pattern,
   // single identity slice the match mask IS the coverage set and scores
   // directly.
   double recall[2];
-  {
-    ScopedStep step(ctx.profiler, "F-score Calc.");
-    const CoverageBitmap* cov = &matched_masks[0];
-    if (!ctx.pt_identity) {
-      ctx.covered.Reset(ctx.scorer.num_positions());
-      for (size_t si = 0; si < slices.size(); ++si) {
-        CoverageScorer::CoverageFromMask(matched_masks[si],
-                                         *slices[si].pt_row, &ctx.covered);
-      }
-      cov = &ctx.covered;
+  Timer scoring;
+  const CoverageBitmap* cov = &matched_masks[0];
+  if (!ctx.pt_identity) {
+    ctx.covered.Reset(ctx.scorer.num_positions());
+    for (size_t si = 0; si < slices.size(); ++si) {
+      CoverageScorer::CoverageFromMask(matched_masks[si], *slices[si].pt_row,
+                                       &ctx.covered);
     }
-    for (int primary = 0; primary < 2; ++primary) {
-      PatternScores s = ctx.scorer.Score(*cov, primary);
-      recall[primary] = s.recall;
-      if (!pattern.empty() && s.recall > ctx.config->recall_threshold) {
-        MinedPattern mp;
-        mp.pattern = pattern;
-        mp.primary = primary;
-        mp.scores = s;
-        ctx.pool->push_back(std::move(mp));
-      }
+    cov = &ctx.covered;
+  }
+  const bool empty = ctx.tree->IsEmptyRoot(node);
+  for (int primary = 0; primary < 2; ++primary) {
+    PatternScores s = ctx.scorer.Score(*cov, primary);
+    recall[primary] = s.recall;
+    if (!empty && s.recall > ctx.config->recall_threshold) {
+      ctx.pool->push_back({node, primary, s});
     }
   }
+  ctx.fscore_seconds += scoring.ElapsedSeconds();
 
   // Proposition 3.1: refinements cannot beat the parent's recall.
   if (ctx.config->enable_recall_pruning &&
       std::max(recall[0], recall[1]) <= ctx.config->recall_threshold) {
     return;
   }
-  if (pattern.NumNumericPreds(ctx.slices->schema_table()) >=
-      ctx.config->max_numeric_attrs) {
-    return;
-  }
+  // Seeds bind only categorical columns (asserted in MineSlices), so
+  // `depth` is the pattern's number of numeric predicates and every
+  // attribute from next_attr on is still free.
+  if (static_cast<int>(depth) >= ctx.config->max_numeric_attrs) return;
 
   // The arena is pre-sized in MineSlices() to the maximum recursion depth,
   // so these references (and the `matched_masks` references held by callers
   // above) stay valid across the recursive calls below.
   std::vector<CoverageBitmap>& child_masks = ctx.mask_arena[depth];
-  std::vector<size_t>& child_counts = ctx.count_arena[depth];
 
-  ScopedStep step(ctx.profiler, "Refine Patterns");
-  for (size_t a = next_attr; a < ctx.numeric_attrs.size(); ++a) {
-    int col = ctx.numeric_attrs[a];
-    if (!pattern.IsFree(col)) continue;
-    const auto& bounds = ctx.boundaries[a];
-    if (bounds.empty()) continue;
-    for (int op_i = 0; op_i < 2; ++op_i) {
-      PredOp op = op_i == 0 ? PredOp::kLe : PredOp::kGe;
-      for (size_t b = 0; b < bounds.size(); ++b) {
-        // Skip trivial predicates: <= max or >= min match everything.
-        if (op == PredOp::kLe && b + 1 == bounds.size()) continue;
-        if (op == PredOp::kGe && b == 0) continue;
-        double c = bounds[b];
-        Value constant =
-            ctx.slices->schema_table().column(col).type() == DataType::kInt64
-                ? Value(static_cast<int64_t>(c))
-                : Value(c);
-        PatternPredicate pred = PatternPredicate::Make(
-            ctx.slices->schema_table(), col, op, constant);
-        // Charged once per candidate (the same rows the unsharded filter
-        // scans, summed over slices) so the row budget trips at the same
-        // evaluation count at any shard size.
-        ctx.row_work += total_count;
-        size_t child_total = 0;
-        for (size_t si = 0; si < slices.size(); ++si) {
-          child_masks[si].ResetForOverwrite(slices[si].num_rows());
-          child_counts[si] = static_cast<size_t>(
-              CompiledPredicate::Compile(pred, *slices[si].table)
-                  .FilterMask(slices[si].num_rows(),
-                              matched_masks[si].words().data(),
-                              matched_counts[si],
-                              child_masks[si].MutableWords()));
-          child_total += child_counts[si];
-        }
-        if (child_total == 0) continue;
-        Pattern child = pattern.Refine(std::move(pred));
-        ExpandPattern(ctx, child, child_masks, child_counts, child_total,
-                      a + 1, depth + 1);
-        if (ctx.budget_exhausted) return;
+  for (size_t a = next_attr; a + 1 < ctx.attr_begin.size(); ++a) {
+    for (uint32_t j = ctx.attr_begin[a]; j < ctx.attr_begin[a + 1]; ++j) {
+      // Charged once per candidate (the same rows the unsharded filter
+      // scans, summed over slices) so the row budget trips at the same
+      // evaluation count at any shard size.
+      ctx.row_work += total_count;
+      size_t child_total = 0;
+      for (size_t si = 0; si < slices.size(); ++si) {
+        const size_t words = ctx.slice_words[si];
+        child_masks[si].ResetForOverwrite(slices[si].num_rows());
+        child_total += AndInto(matched_masks[si].words().data(),
+                               ctx.premasks[si].data() + j * words, words,
+                               child_masks[si].MutableWords());
       }
+      if (child_total == 0) continue;
+      ExpandPattern(ctx, ctx.tree->AddChild(node, ctx.cand_slot[j]),
+                    child_masks, child_total, a + 1, depth + 1);
+      if (ctx.budget_exhausted) return;
     }
   }
 }
@@ -257,69 +517,22 @@ void ExpandPattern(RefineContext& ctx, const Pattern& pattern,
 }  // namespace
 
 double DiversityScore(const Pattern& a, const Pattern& b) {
-  if (a.preds.empty()) return 1.0;
-  double sum = 0.0;
-  for (const auto& pa : a.preds) {
-    const PatternPredicate* pb = b.Find(pa.col);
-    if (pb == nullptr) {
-      sum += 1.0;
-    } else if (pa.value == pb->value) {
-      sum += -2.0;
-    } else {
-      sum += -0.3;
-    }
-  }
-  return sum / static_cast<double>(a.preds.size());
+  return Diversity(a.preds.data(), a.preds.size(), b.preds.data(),
+                   b.preds.size(),
+                   [](const PatternPredicate& p) -> const PatternPredicate& {
+                     return p;
+                   });
 }
 
 std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
                                       size_t k, bool use_diversity) {
-  // Precompute tie-breaker keys once; building them inside the sort
-  // comparator would allocate strings on every comparison.
-  std::vector<std::string> keys(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) keys[i] = pool[i].pattern.Key();
-  std::vector<size_t> order(pool.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (pool[a].scores.fscore != pool[b].scores.fscore) {
-      return pool[a].scores.fscore > pool[b].scores.fscore;
-    }
-    return keys[a] < keys[b];
-  });
-  if (!use_diversity) {
-    if (order.size() > k) order.resize(k);
-    return order;
+  PatternTree tree;
+  std::vector<PoolEntry> entries;
+  entries.reserve(pool.size());
+  for (const MinedPattern& mp : pool) {
+    entries.push_back({tree.AddRoot(mp.pattern), mp.primary, mp.scores});
   }
-  // Bound the candidate set examined by the greedy diversity pass.
-  const size_t kDiversityWindow = 2000;
-  if (order.size() > kDiversityWindow) order.resize(kDiversityWindow);
-
-  std::vector<size_t> selected;
-  std::vector<bool> used(order.size(), false);
-  while (selected.size() < k) {
-    double best_score = -1e18;
-    size_t best_pos = SIZE_MAX;
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      if (used[pos]) continue;
-      const MinedPattern& cand = pool[order[pos]];
-      double wscore = cand.scores.fscore;
-      if (!selected.empty()) {
-        double min_d = 1e18;
-        for (size_t s : selected) {
-          min_d = std::min(min_d, DiversityScore(cand.pattern, pool[s].pattern));
-        }
-        wscore += min_d;
-      }
-      if (wscore > best_score) {
-        best_score = wscore;
-        best_pos = pos;
-      }
-    }
-    if (best_pos == SIZE_MAX) break;
-    used[best_pos] = true;
-    selected.push_back(order[best_pos]);
-  }
-  return selected;
+  return RankTopK(tree, entries, k, use_diversity);
 }
 
 std::vector<int> PatternMiner::SelectAttributes(const AptSliceSet& ss,
@@ -454,9 +667,7 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   struct Seed {
     Pattern pattern;
     std::vector<CoverageBitmap> masks;  // per slice
-    std::vector<size_t> counts;         // per-slice popcounts
-    size_t total = 0;
-    double recall;
+    size_t total = 0;                   // summed popcount of the masks
   };
   const bool pt_identity = ss.pt_identity;
   std::vector<Seed> seeds;
@@ -520,18 +731,15 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
     for (const ScoredCandidate& sc : kept) {
       Seed seed;
       seed.pattern = *sc.pattern;
-      seed.recall = sc.recall;
       seed.masks.resize(num_slices);
-      seed.counts.resize(num_slices);
       for (size_t si = 0; si < num_slices; ++si) {
         kernel.Compile(seed.pattern, *slices[si].table);
-        seed.counts[si] =
+        seed.total +=
             view.all_rows
                 ? kernel.MatchMask(slices[si].num_rows(), &seed.masks[si])
                 : kernel.MatchMask(view.slice_masks[si],
                                    view.slice_rows[si].size(),
                                    &seed.masks[si]);
-        seed.total += seed.counts[si];
       }
       seeds.push_back(std::move(seed));
     }
@@ -539,63 +747,57 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   // The empty pattern seeds numeric-only refinements.
   {
     Seed empty;
-    empty.recall = 1.0;
     empty.masks.resize(num_slices);
-    empty.counts.resize(num_slices);
     for (size_t si = 0; si < num_slices; ++si) {
       if (view.all_rows) {
         empty.masks[si].Reset(slices[si].num_rows());
         empty.masks[si].SetAll();
-        empty.counts[si] = slices[si].num_rows();
+        empty.total += slices[si].num_rows();
       } else {
         empty.masks[si] = view.slice_masks[si];
-        empty.counts[si] = view.slice_rows[si].size();
+        empty.total += view.slice_rows[si].size();
       }
-      empty.total += empty.counts[si];
     }
     seeds.push_back(std::move(empty));
   }
 
-  // (iv) Numeric refinement.
-  std::vector<MinedPattern> pool;
+  // (iv) Numeric refinement over the compact tree. The phase is timed once
+  // here; its scoring time is charged to "F-score Calc.", the rest to
+  // "Refine Patterns", so nested recursion is never counted twice.
+  Timer refine_timer;
+  PatternTree tree;
+  std::vector<PoolEntry> pool;
   RefineContext ctx;
   ctx.slices = &ss;
-  ctx.classes = &classes;
-  ctx.view = &view;
   ctx.config = config_;
-  ctx.profiler = profiler_;
-  ctx.numeric_attrs = num_attrs;
+  ctx.tree = &tree;
   ctx.pool = &pool;
   ctx.scorer = std::move(scorer);
   ctx.pt_identity = pt_identity;
-  // One mask/count buffer set per recursion level; each level adds one
-  // numeric predicate, so numeric_attrs.size() + 1 covers the deepest
-  // chain. Sizing up front keeps buffer references stable across recursive
-  // calls.
+  // One mask buffer set per recursion level; each level adds one
+  // numeric predicate, so num_attrs.size() + 1 covers the deepest chain.
+  // Sizing up front keeps buffer references stable across recursive calls.
   ctx.mask_arena.resize(num_attrs.size() + 1);
-  ctx.count_arena.resize(num_attrs.size() + 1);
-  for (size_t d = 0; d <= num_attrs.size(); ++d) {
-    ctx.mask_arena[d].resize(num_slices);
-    ctx.count_arena[d].resize(num_slices);
-  }
-  {
-    ScopedStep step(profiler_, "Refine Patterns");
-    for (size_t a = 0; a < num_attrs.size(); ++a) {
-      ctx.boundaries.push_back(
-          FragmentBoundaries(ss, view, num_attrs[a], config_->num_fragments));
-    }
-  }
+  for (auto& masks : ctx.mask_arena) masks.resize(num_slices);
+  BuildPredicateTable(ss, view, num_attrs, config_->num_fragments, &ctx);
   for (const auto& seed : seeds) {
-    ExpandPattern(ctx, seed.pattern, seed.masks, seed.counts, seed.total, 0,
+    // Seeds bind only categorical columns (LCA runs over cat_attrs).
+    assert(seed.pattern.NumNumericPreds(ss.schema_table()) == 0);
+    ExpandPattern(ctx, tree.AddRoot(seed.pattern), seed.masks, seed.total, 0,
                   0);
     if (ctx.budget_exhausted) break;
   }
   result.patterns_evaluated = ctx.evaluated;
   result.budget_exhausted = ctx.budget_exhausted;
+  if (profiler_ != nullptr) {
+    profiler_->Add("F-score Calc.", ctx.fscore_seconds);
+    profiler_->Add("Refine Patterns",
+                   refine_timer.ElapsedSeconds() - ctx.fscore_seconds);
+  }
 
   // (v) Diversity-aware top-k.
-  std::vector<size_t> picked = SelectTopKDiverse(
-      pool, static_cast<size_t>(config_->top_k), config_->enable_diversity);
+  std::vector<size_t> picked = RankTopK(
+      tree, pool, static_cast<size_t>(config_->top_k), config_->enable_diversity);
 
   // Exact relative supports (Definition 6) on the full APT for the winners.
   // Multi-slice merging goes through CoverageBitmap::Or so the cross-shard
@@ -607,7 +809,10 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   CoverageBitmap covered;
   CoverageBitmap slice_covered;
   for (size_t idx : picked) {
-    MinedPattern mp = pool[idx];
+    MinedPattern mp;
+    mp.pattern = tree.Build(pool[idx].node);
+    mp.primary = pool[idx].primary;
+    mp.scores = pool[idx].scores;
     const CoverageBitmap* cov = nullptr;
     if (pt_identity) {
       kernel.Compile(mp.pattern, *slices[0].table);

@@ -61,12 +61,20 @@ struct MineResult {
 ///
 /// Step timings are charged to the profiler under the paper's breakdown-row
 /// names: "Feature Selection", "Gen. Pat. Cand.", "Sampling for F1",
-/// "F-score Calc.", "Refine Patterns".
+/// "F-score Calc.", "Refine Patterns". Each stage is timed exclusively, so
+/// on a serial Mine the stages sum to at most its wall time. The refinement
+/// phase is timed once; its scoring time goes to "F-score Calc." and the
+/// rest to "Refine Patterns".
 ///
-/// Mine() is const and keeps all scratch state (RefineContext, kernels,
-/// coverage bitmaps, selection arenas) on its own stack, so distinct
-/// miners — or one miner with distinct profilers/RNGs — may run
-/// concurrently on different APTs. The parallel explainer constructs one
+/// Refinement works on a compact tree: a child is a node {parent, predicate
+/// slot} and its match mask is the parent's ANDed with the slot's mask,
+/// precomputed once per Mine for every (numeric attribute, op, boundary).
+/// Patterns and Values are built only for the returned top-k.
+///
+/// Mine() is const and keeps all scratch state (the refinement tree,
+/// predicate table, coverage bitmaps, selection arenas) on its own stack,
+/// so distinct miners — or one miner with distinct profilers/RNGs — may
+/// run concurrently on different APTs. The parallel explainer constructs one
 /// PatternMiner + StepProfiler per join-graph task and relies on this.
 class PatternMiner {
  public:
@@ -108,6 +116,13 @@ double DiversityScore(const Pattern& a, const Pattern& b);
 /// Greedy diversity-aware selection: repeatedly picks the candidate with the
 /// highest wscore = F-score + min over selected D(phi, phi'). Returns indexes
 /// into `pool`. With `use_diversity` false, returns the top-k by F-score.
+///
+/// Candidates are ranked in one total order: F-score descending, then
+/// Pattern::Key() ascending (byte-wise string order), then pool index
+/// ascending. The same pattern under primary 0 and 1 thus ranks in pool
+/// order. With diversity, the greedy pass examines the first 2000 entries
+/// of this order and, among equal wscores, keeps the earliest. Mine() ranks
+/// its pool the same way, without building Patterns or key strings.
 std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
                                       size_t k, bool use_diversity);
 

@@ -1,14 +1,17 @@
 // Tests for src/mining: patterns (matching, refinement), quality metrics
-// (Definition 7), LCA candidate generation, the miner (Algorithm 1), and
-// the recall-monotonicity property (Proposition 3.1) as a parameterized
-// property sweep.
+// (Definition 7), LCA candidate generation, the miner (Algorithm 1), top-k
+// selection against a full-sort oracle, and the recall-monotonicity
+// property (Proposition 3.1) as a parameterized property sweep.
 
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "src/core/config.h"
 #include "src/mining/lca.h"
 #include "src/mining/miner.h"
 #include "src/mining/quality.h"
+#include "src/common/timer.h"
 
 namespace cajade {
 namespace {
@@ -413,6 +416,49 @@ TEST(MinerTest, DiversityChangesSelection) {
   EXPECT_GE(distinct_shapes(with), distinct_shapes(without));
 }
 
+TEST(MinerTest, StageTimesAddUpToWallTime) {
+  // Refinement recurses; each stage must still be charged once, so the
+  // stages of a serial Mine never sum past its wall time. The APT has
+  // several numeric attributes so refinement chains run deep.
+  Schema schema({{"cat", DataType::kString},
+                 {"n0", DataType::kInt64},
+                 {"n1", DataType::kInt64},
+                 {"n2", DataType::kDouble},
+                 {"n3", DataType::kDouble}});
+  Table t("APT", std::move(schema));
+  Apt apt;
+  PtClasses classes;
+  Rng rng(21);
+  for (int p = 0; p < 2000; ++p) {
+    const bool class0 = p < 1100;
+    (void)t.AppendRow({Value(rng.Bernoulli(class0 ? 0.7 : 0.3) ? "a" : "b"),
+                       Value(rng.UniformInt(class0 ? 30 : 0, 100)),
+                       Value(rng.UniformInt(0, class0 ? 60 : 100)),
+                       Value(rng.Uniform(class0 ? 0.2 : 0.0, 1.0)),
+                       Value(rng.Uniform(0.0, 1.0))});
+    apt.pt_row.push_back(p);
+    apt.pt_rows_used.push_back(p);
+    classes.push_back(class0 ? 0 : 1);
+  }
+  apt.table = std::move(t);
+  apt.num_pt_columns = 0;
+  apt.pattern_cols = {0, 1, 2, 3, 4};
+
+  CajadeConfig config;
+  config.enable_feature_selection = false;
+  config.num_fragments = 8;
+  config.max_numeric_attrs = 4;
+  StepProfiler profiler;
+  PatternMiner miner(&config, &profiler);
+  Timer wall;
+  MineResult result = miner.Mine(apt, classes, &rng).ValueOrDie();
+  const double wall_seconds = wall.ElapsedSeconds();
+  EXPECT_GT(result.patterns_evaluated, 100u);
+  EXPECT_GT(profiler.Get("Refine Patterns"), 0.0);
+  EXPECT_GT(profiler.Get("F-score Calc."), 0.0);
+  EXPECT_LE(profiler.Total(), wall_seconds);
+}
+
 TEST(DiversityScoreTest, MatchesPaperFormula) {
   AptFixture fx;
   auto eq = [&](int col, const char* v) {
@@ -428,6 +474,131 @@ TEST(DiversityScoreTest, MatchesPaperFormula) {
   Pattern b_diff;
   b_diff.preds = {eq(0, "b")};  // different constant: -0.3
   EXPECT_DOUBLE_EQ(DiversityScore(a, b_diff), -0.3);
+}
+
+// ---- Top-k selection against a full-sort oracle --------------------------
+// The oracle reads the spec directly: build every Pattern::Key(), fully sort
+// by (F-score desc, key asc, pool index asc), keep the first 2000 for the
+// diversity pass, and rescan every pick for each candidate's min D.
+
+std::vector<size_t> OracleTopK(const std::vector<MinedPattern>& pool, size_t k,
+                               bool use_diversity) {
+  std::vector<std::string> keys;
+  for (const MinedPattern& mp : pool) keys.push_back(mp.pattern.Key());
+  std::vector<size_t> order(pool.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (pool[a].scores.fscore != pool[b].scores.fscore) {
+      return pool[a].scores.fscore > pool[b].scores.fscore;
+    }
+    if (keys[a] != keys[b]) return keys[a] < keys[b];
+    return a < b;
+  });
+  if (!use_diversity) {
+    if (order.size() > k) order.resize(k);
+    return order;
+  }
+  if (order.size() > 2000) order.resize(2000);
+  std::vector<size_t> selected;
+  std::vector<bool> used(order.size(), false);
+  while (selected.size() < k) {
+    double best_score = -1e18;
+    size_t best_pos = SIZE_MAX;
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      if (used[pos]) continue;
+      const MinedPattern& cand = pool[order[pos]];
+      double wscore = cand.scores.fscore;
+      if (!selected.empty()) {
+        double min_d = 1e18;
+        for (size_t s : selected) {
+          min_d = std::min(min_d, DiversityScore(cand.pattern, pool[s].pattern));
+        }
+        wscore += min_d;
+      }
+      if (wscore > best_score) {
+        best_score = wscore;
+        best_pos = pos;
+      }
+    }
+    if (best_pos == SIZE_MAX) break;
+    used[best_pos] = true;
+    selected.push_back(order[best_pos]);
+  }
+  return selected;
+}
+
+/// A random pool shaped like the miner's: few distinct F-scores (heavy tie
+/// runs), the same pattern under both primaries, string constants whose
+/// keys order differently from their parts ("a!" sorts before the '&' that
+/// follows "a"), multi-digit columns, and INT64 bounds that truncate to
+/// equal constants (3.2 and 3.7 both become 3).
+std::vector<MinedPattern> RandomTiePool(const Table& table, size_t size,
+                                        Rng* rng) {
+  const char* strings[] = {"a", "a!", "ab"};
+  const char* tags[] = {"x", "y"};
+  const double int_bounds[] = {3.2, 3.7, 10.5};
+  const double double_bounds[] = {0.25, 0.5};
+  const double fscores[] = {0.2, 0.5, 0.5, 0.8, 0.8, 0.8};
+  std::vector<MinedPattern> pool;
+  while (pool.size() < size) {
+    Pattern p;
+    auto op = [&] { return rng->Bernoulli(0.5) ? PredOp::kLe : PredOp::kGe; };
+    if (rng->Bernoulli(0.6)) {
+      p.preds.push_back(PatternPredicate::Make(table, 1, PredOp::kEq,
+                                               Value(strings[rng->NextBounded(3)])));
+    }
+    if (rng->Bernoulli(0.4)) {
+      p.preds.push_back(PatternPredicate::Make(table, 2, PredOp::kEq,
+                                               Value(tags[rng->NextBounded(2)])));
+    }
+    if (rng->Bernoulli(0.5)) {
+      p.preds.push_back(PatternPredicate::Make(
+          table, 10, op(),
+          Value(static_cast<int64_t>(int_bounds[rng->NextBounded(3)]))));
+    }
+    if (rng->Bernoulli(0.4)) {
+      p.preds.push_back(PatternPredicate::Make(
+          table, 11, op(), Value(double_bounds[rng->NextBounded(2)])));
+    }
+    if (p.empty()) continue;
+    MinedPattern mp;
+    mp.pattern = std::move(p);
+    mp.scores.fscore = fscores[rng->NextBounded(6)];
+    const bool both_primaries = rng->Bernoulli(0.5);
+    pool.push_back(mp);
+    if (both_primaries) {
+      mp.primary = 1;
+      pool.push_back(mp);
+    }
+  }
+  return pool;
+}
+
+TEST(TopKTest, MatchesFullSortOracle) {
+  std::vector<ColumnDef> cols;
+  for (int c = 0; c < 12; ++c) {
+    const DataType type = c == 1 || c == 2 ? DataType::kString
+                          : c == 11        ? DataType::kDouble
+                                           : DataType::kInt64;
+    cols.push_back({"c" + std::to_string(c), type});
+  }
+  Table table("APT", Schema(cols));
+  for (size_t pool_size : {300u, 2500u, 4100u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      std::vector<MinedPattern> pool = RandomTiePool(table, pool_size, &rng);
+      for (size_t k : {0u, 1u, 10u, 40u}) {
+        for (bool use_diversity : {false, true}) {
+          SCOPED_TRACE("pool=" + std::to_string(pool.size()) +
+                       " seed=" + std::to_string(seed) +
+                       " k=" + std::to_string(k) +
+                       " diversity=" + std::to_string(use_diversity));
+          EXPECT_EQ(SelectTopKDiverse(pool, k, use_diversity),
+                    OracleTopK(pool, k, use_diversity));
+        }
+      }
+    }
+  }
 }
 
 // ---- Proposition 3.1 as a property sweep ----------------------------------

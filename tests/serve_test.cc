@@ -235,10 +235,10 @@ TEST_F(ServeTest, ConcurrentClientsShareCachesAndPool) {
 }
 
 TEST_F(ServeTest, ShardedServingMatchesUnshardedAndReportsCounters) {
-  // The apt_shard_rows knob is perf/memory-only: results are bit-identical,
-  // so it is deliberately absent from the result-cache config hash, and the
-  // counters expose what changed instead — shard counts and the peak
-  // resident APT bytes the shard bound caps.
+  // The apt_shard_rows knob is perf/memory-only: results are bit-identical.
+  // The result cache keys on (query, question) alone under each server's
+  // fixed config, so only the counters show what changed — shard counts and
+  // the peak resident APT bytes the shard bound caps.
   ExplainServer unsharded(&db_, &schema_graph_, BaseOptions());
   auto expected = unsharded.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
   auto base_counters = unsharded.counters();
