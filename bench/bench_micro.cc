@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <set>
 #include <unordered_map>
 
 #include "bench/bench_util.h"
@@ -489,6 +490,55 @@ void BM_LcaCandidates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LcaCandidates)->Arg(64)->Arg(256);
+
+/// LCA at the shape of mimic_parallel's miner calls: an APT of range(0)
+/// rows, all of them sampled, over k = 4 categorical columns with 10% NULLs,
+/// where 35% of the rows are distinct (each prototype once, the rest
+/// repeats, shuffled). Reports ns per sampled pair.
+void BM_LcaMeet(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t k = 4;
+  const int64_t dict_sizes[k] = {4, 8, 16, 64};
+  Rng rng(11);
+  std::vector<std::vector<Value>> protos;
+  std::set<std::vector<Value>> seen;
+  while (protos.size() < rows * 35 / 100) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < k; ++c) {
+      row.push_back(rng.Bernoulli(0.1)
+                        ? Value::Null()
+                        : Value("v" + std::to_string(
+                                          rng.NextBounded(dict_sizes[c]))));
+    }
+    if (seen.insert(row).second) protos.push_back(std::move(row));
+  }
+  std::vector<size_t> order(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    order[i] = i < protos.size() ? i : rng.NextBounded(protos.size());
+  }
+  rng.Shuffle(&order);
+  Apt apt;
+  apt.table = Table("APT", Schema({{"a", DataType::kString},
+                                   {"b", DataType::kString},
+                                   {"c", DataType::kString},
+                                   {"d", DataType::kString}}));
+  for (size_t i = 0; i < rows; ++i) {
+    (void)apt.table.AppendRow(protos[order[i]]);
+    apt.pt_row.push_back(static_cast<int32_t>(i));
+    apt.pt_rows_used.push_back(static_cast<int64_t>(i));
+  }
+  apt.pattern_cols = {0, 1, 2, 3};
+  for (auto _ : state) {
+    Rng local(3);
+    auto candidates = GenerateLcaCandidates(apt, apt.pattern_cols, rows, &local);
+    benchmark::DoNotOptimize(candidates.data());
+  }
+  const double pairs = static_cast<double>(rows) * (rows - 1) / 2;
+  state.counters["ns_per_pair"] = benchmark::Counter(
+      pairs * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                        benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LcaMeet)->Arg(1000);
 
 void BM_MineApt(benchmark::State& state) {
   auto& fx = ExampleFixture::Get();

@@ -6,8 +6,9 @@
 //  (f)   NDCG of the sampled explanation ranking vs. lambda_F1-samp,
 //  (g)   top-k recall of the sampled ranking vs. lambda_F1-samp.
 //
-// Expected shape: LCA runtime grows quadratically in the sample size; NDCG
-// and recall rise with the sample rate, already high at moderate rates.
+// Expected shape: LCA runtime grows quadratically in the number of distinct
+// sampled rows (identical rows are met once, src/mining/lca.h); NDCG and
+// recall rise with the sample rate, already high at moderate rates.
 
 #include <set>
 

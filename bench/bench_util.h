@@ -197,6 +197,7 @@ inline void PrintBreakdown(const StepProfiler& profile) {
   static const char* kRows[] = {"Feature Selection", "Gen. Pat. Cand.",
                                 "F-score Calc.",     "Materialize APTs",
                                 "Refine Patterns",   "Sampling for F1",
+                                "Top-k Selection",   "Exact Supports",
                                 "JG Enum.",          "Compute Provenance"};
   double total = 0;
   for (const char* row : kRows) {
@@ -213,6 +214,7 @@ inline void PrintBreakdownMatrix(const std::vector<std::string>& headers,
   static const char* kRows[] = {"Feature Selection", "Gen. Pat. Cand.",
                                 "F-score Calc.",     "Materialize APTs",
                                 "Refine Patterns",   "Sampling for F1",
+                                "Top-k Selection",   "Exact Supports",
                                 "JG Enum."};
   std::printf("%-20s", "Step");
   for (const auto& h : headers) std::printf(" %12s", h.c_str());

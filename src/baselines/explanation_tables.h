@@ -3,7 +3,8 @@
 // table" of categorical patterns that maximally reduces the KL divergence
 // between a maximum-entropy-style estimate and a binary outcome column.
 // Candidates come from the LCA meet of a sample with itself (the sample-size
-// knob drives the quadratic runtime the paper's Figure 11 shows).
+// knob drives the quadratic runtime the paper's Figure 11 shows, quadratic
+// in the distinct sampled rows since identical rows are met once).
 //
 // Ownership and thread-safety: stateless free functions over borrowed
 // read-only tables; the returned explanation table is a fresh caller-owned

@@ -4,11 +4,26 @@
 // predicate, the rest become don't-cares. Frequently co-occurring constant
 // combinations surface as high-count candidates.
 //
-// The pair meet is batch/mask-native: sampled rows are pre-extracted to
-// column-major dictionary codes with a per-row non-null bitmask, so the
-// inner pair loop intersects two words and visits only mutually non-null
-// attributes (one ctz per candidate column) instead of scanning all k
-// columns per pair.
+// The meet is grouped: identical sampled rows (same code, or NULL, in every
+// column) form one group with a count, so each pair of distinct rows is met
+// once. Group pair (a, b) contributes cnt_a * cnt_b pairs under its
+// equality mask, and group a's self-pairs contribute C(cnt_a, 2) under its
+// non-null mask. Masks are built a column at a time over column-major codes
+// and accumulated per owner group in a table keyed by mask, so no pair
+// allocates or hashes a signature.
+//
+// Candidate order: candidates are sorted by descending pair count with an
+// unstable std::sort over the iteration order of an unordered_map keyed by
+// signature (lca_internal.h). Among equal counts the order therefore comes
+// from libstdc++'s map layout, which depends only on the order in which
+// distinct signatures are first inserted. A per-pair loop inserts them in
+// the order of their first sampled pair (i, j). The first sampled pair
+// behind group pair (a, b) is (first_a, first_b), and behind a self-pair
+// (first_a, second_a). Groups are numbered by first appearance, and each
+// owner group's signatures are added to the map in ascending partner
+// index, so new signatures arrive in ascending (i, j) order and the list is
+// exactly the per-pair loop's. The top-500 cut and the recall-ranked seeds
+// downstream see this order, so it reaches the ranked explanations.
 //
 // Ownership and thread-safety: stateless free functions; inputs are borrowed
 // read-only and results are fresh caller-owned values, so concurrent calls

@@ -796,12 +796,17 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   }
 
   // (v) Diversity-aware top-k.
-  std::vector<size_t> picked = RankTopK(
-      tree, pool, static_cast<size_t>(config_->top_k), config_->enable_diversity);
+  std::vector<size_t> picked;
+  {
+    ScopedStep step(profiler_, "Top-k Selection");
+    picked = RankTopK(tree, pool, static_cast<size_t>(config_->top_k),
+                      config_->enable_diversity);
+  }
 
   // Exact relative supports (Definition 6) on the full APT for the winners.
   // Multi-slice merging goes through CoverageBitmap::Or so the cross-shard
   // merge path (and its width assert) is exercised even on this cold path.
+  ScopedStep step(profiler_, "Exact Supports");
   MetricsView full = FullView(ss, classes);
   CoverageScorer full_scorer(classes, full);
   PatternKernel kernel;

@@ -61,10 +61,12 @@ struct MineResult {
 ///
 /// Step timings are charged to the profiler under the paper's breakdown-row
 /// names: "Feature Selection", "Gen. Pat. Cand.", "Sampling for F1",
-/// "F-score Calc.", "Refine Patterns". Each stage is timed exclusively, so
-/// on a serial Mine the stages sum to at most its wall time. The refinement
-/// phase is timed once; its scoring time goes to "F-score Calc." and the
-/// rest to "Refine Patterns".
+/// "F-score Calc.", "Refine Patterns", plus "Top-k Selection" (ranking the
+/// refinement pool) and "Exact Supports" (full-APT supports of the
+/// winners). Each stage is timed exclusively, so on a serial Mine the
+/// stages sum to at most its wall time. The refinement phase is timed once;
+/// its scoring time goes to "F-score Calc." and the rest to "Refine
+/// Patterns".
 ///
 /// Refinement works on a compact tree: a child is a node {parent, predicate
 /// slot} and its match mask is the parent's ANDed with the slot's mask,

@@ -9,29 +9,35 @@
 namespace cajade {
 namespace {
 
-/// APT with a binary outcome strongly linked to cat="hot".
+/// APT with a binary outcome strongly linked to cat="hot". With
+/// `unique_ids`, a fourth categorical column holds a distinct value per row,
+/// so no two rows are identical.
 struct EtFixture {
   Apt apt;
   std::vector<int8_t> outcome;
 
-  EtFixture() {
-    Schema schema({{"cat", DataType::kString},
-                   {"other", DataType::kString},
-                   {"num", DataType::kInt64}});
-    Table t("APT", std::move(schema));
+  explicit EtFixture(int rows = 400, bool unique_ids = false) {
+    std::vector<ColumnDef> defs = {{"cat", DataType::kString},
+                                   {"other", DataType::kString},
+                                   {"num", DataType::kInt64}};
+    if (unique_ids) defs.push_back({"id", DataType::kString});
+    Table t("APT", Schema(std::move(defs)));
     Rng rng(21);
-    for (int i = 0; i < 400; ++i) {
+    for (int i = 0; i < rows; ++i) {
       bool hot = rng.Bernoulli(0.4);
       std::string cat = hot ? "hot" : "cold";
       std::string other = rng.Bernoulli(0.5) ? "x" : "y";
-      (void)t.AppendRow({Value(cat), Value(other),
-                         Value(rng.UniformInt(0, 100))});
+      std::vector<Value> row = {Value(cat), Value(other),
+                                Value(rng.UniformInt(0, 100))};
+      if (unique_ids) row.push_back(Value("r" + std::to_string(i)));
+      (void)t.AppendRow(row);
       apt.pt_row.push_back(i);
       apt.pt_rows_used.push_back(i);
       outcome.push_back(hot && rng.Bernoulli(0.9) ? 1 : (rng.Bernoulli(0.1) ? 1 : 0));
     }
     apt.table = std::move(t);
     apt.pattern_cols = {0, 1, 2};
+    if (unique_ids) apt.pattern_cols.push_back(3);
   }
 };
 
@@ -56,7 +62,10 @@ TEST(ExplanationTablesTest, FindsHighGainPatternFirst) {
 }
 
 TEST(ExplanationTablesTest, RuntimeGrowsWithSampleSize) {
-  EtFixture fx;
+  // The LCA meet runs once per pair of distinct sampled rows, so its work
+  // grows with the sample only where sampled rows differ. Every row here is
+  // distinct (unique ids), as in real APTs with key-like attributes.
+  EtFixture fx(1000, /*unique_ids=*/true);
   Rng rng(3);
   auto run = [&](size_t size) {
     EtOptions options;
@@ -70,7 +79,7 @@ TEST(ExplanationTablesTest, RuntimeGrowsWithSampleSize) {
   };
   // Not asserting exact quadratics (too flaky); just that work grows.
   double small = run(16) + run(16);
-  double big = run(256) + run(256);
+  double big = run(1000) + run(1000);
   EXPECT_GT(big, small);
 }
 

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/core/config.h"
 #include "src/mining/lca.h"
+#include "src/mining/lca_internal.h"
 #include "src/mining/miner.h"
 #include "src/mining/quality.h"
 #include "src/common/timer.h"
@@ -316,6 +318,143 @@ TEST(LcaTest, SlicedCandidatesBitIdentical) {
   }
 }
 
+/// Test-only oracle: LCA generation as a per-pair loop. Every sampled pair
+/// (i < j, in (i, j) order) bumps its signature in the same map type and
+/// hash as the library, followed by the same conversion and unstable sort.
+std::vector<LcaCandidate> PairLoopLcaCandidates(const AptSliceSet& ss,
+                                                const std::vector<int>& cat_cols,
+                                                size_t sample_size, Rng* rng) {
+  const std::vector<size_t> sample =
+      rng->SampleIndices(ss.total_rows, sample_size);
+  const size_t s = sample.size();
+  const size_t k = cat_cols.size();
+  std::vector<std::vector<int32_t>> codes(k, std::vector<int32_t>(s));
+  for (size_t i = 0; i < s; ++i) {
+    size_t si = 0;
+    size_t local = sample[i];
+    while (local >= ss.slices[si].num_rows()) local -= ss.slices[si++].num_rows();
+    for (size_t c = 0; c < k; ++c) {
+      const Column& col = ss.slices[si].table->column(cat_cols[c]);
+      codes[c][i] = col.IsNull(local) ? -1 : col.GetCode(local);
+    }
+  }
+  LcaSigCounts counts;
+  std::vector<int32_t> sig(k);
+  for (size_t i = 0; i < s; ++i) {
+    for (size_t j = i + 1; j < s; ++j) {
+      bool any = false;
+      for (size_t c = 0; c < k; ++c) {
+        const int32_t a = codes[c][i];
+        sig[c] = a >= 0 && a == codes[c][j] ? a : -1;
+        any = any || sig[c] >= 0;
+      }
+      if (any) ++counts[sig];
+    }
+  }
+  std::vector<LcaCandidate> out;
+  for (const auto& [signature, count] : counts) {
+    LcaCandidate cand;
+    cand.pair_count = count;
+    for (size_t c = 0; c < k; ++c) {
+      if (signature[c] < 0) continue;
+      const Column& col = ss.schema_table().column(cat_cols[c]);
+      cand.pattern.preds.push_back(PatternPredicate::Make(
+          ss.schema_table(), cat_cols[c], PredOp::kEq,
+          Value(col.DictEntry(signature[c]))));
+    }
+    out.push_back(std::move(cand));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const LcaCandidate& a, const LcaCandidate& b) {
+              return a.pair_count > b.pair_count;
+            });
+  return out;
+}
+
+/// A generated APT of `n` rows over `k` string columns, two rows per PT
+/// row. Rows repeat a skewed choice among n/8 prototype rows, so samples
+/// hold many duplicates. Each column has a dictionary of 2 to 10^4 values
+/// (skewed toward low codes, so large dictionaries still meet) and a NULL
+/// rate of 0-50%.
+Apt MakeLcaApt(size_t n, size_t k, Rng* rng) {
+  static const int32_t kDictSizes[] = {2, 3, 12, 300, 10000};
+  std::vector<ColumnDef> defs;
+  std::vector<Column> cols;
+  std::vector<std::vector<int32_t>> protos(std::max<size_t>(1, n / 8),
+                                           std::vector<int32_t>(k));
+  for (size_t c = 0; c < k; ++c) {
+    defs.push_back({"c" + std::to_string(c), DataType::kString});
+    cols.emplace_back(DataType::kString);
+    const int32_t dict = kDictSizes[rng->NextBounded(5)];
+    for (int32_t v = 0; v < dict; ++v) {
+      cols[c].InternString("v" + std::to_string(v));
+    }
+    const double null_rate = rng->Uniform(0.0, 0.5);
+    for (auto& proto : protos) {
+      const double u = rng->UniformDouble();
+      proto[c] = rng->Bernoulli(null_rate)
+                     ? -1
+                     : static_cast<int32_t>(dict * u * u * u);
+    }
+  }
+  Apt apt;
+  for (size_t r = 0; r < n; ++r) {
+    const double u = rng->UniformDouble();
+    const auto& proto = protos[static_cast<size_t>(protos.size() * u * u)];
+    for (size_t c = 0; c < k; ++c) {
+      if (proto[c] < 0) {
+        cols[c].AppendNull();
+      } else {
+        cols[c].AppendCode(proto[c]);
+      }
+    }
+    apt.pt_row.push_back(static_cast<int32_t>(r / 2));
+    if (r % 2 == 0) apt.pt_rows_used.push_back(static_cast<int64_t>(r / 2));
+  }
+  apt.table = Table("APT", Schema(std::move(defs)), std::move(cols), n);
+  apt.num_pt_columns = 0;
+  apt.pattern_cols.resize(k);
+  std::iota(apt.pattern_cols.begin(), apt.pattern_cols.end(), 0);
+  return apt;
+}
+
+TEST(LcaTest, MatchesPairLoopOracle) {
+  // The grouped meet must return the per-pair loop's list exactly: same
+  // candidates, same counts, and the same order among equal counts. Rows
+  // wider than one mask word (k = 65, 130) and the full word (k = 64) stop
+  // at 200 samples: the oracle costs k per pair, and 200 samples already
+  // give thousands of candidates there.
+  Rng gen(2024);
+  for (size_t k : {1u, 4u, 6u, 17u, 64u, 65u, 130u}) {
+    const Apt apt = MakeLcaApt(1600, k, &gen);
+    std::vector<int> cat_cols(k);
+    std::iota(cat_cols.begin(), cat_cols.end(), 0);
+    for (size_t sample : {16u, 200u, 1000u}) {
+      if (k >= 64 && sample > 200) continue;
+      const uint64_t seed = gen.Next();
+      const size_t shard_pts = 1 + gen.NextBounded(apt.pt_rows_used.size());
+      SCOPED_TRACE("k=" + std::to_string(k) + " sample=" +
+                   std::to_string(sample) + " shard_pts=" +
+                   std::to_string(shard_pts));
+      Rng rng_oracle(seed);
+      const auto expected =
+          PairLoopLcaCandidates(MakeSliceSet(apt), cat_cols, sample, &rng_oracle);
+      ASSERT_FALSE(expected.empty());
+      const ShardedApt split = SplitApt(apt, shard_pts);
+      for (const AptSliceSet& ss : {MakeSliceSet(apt), MakeSliceSet(split)}) {
+        Rng rng(seed);
+        const auto got = GenerateLcaCandidates(ss, cat_cols, sample, &rng);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(got[i].pair_count, expected[i].pair_count) << "at " << i;
+          ASSERT_EQ(got[i].pattern.Key(), expected[i].pattern.Key())
+              << "at " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(MinerTest, FindsDiscriminativePattern) {
   AptFixture fx;
   CajadeConfig config;
@@ -454,6 +593,11 @@ TEST(MinerTest, StageTimesAddUpToWallTime) {
   MineResult result = miner.Mine(apt, classes, &rng).ValueOrDie();
   const double wall_seconds = wall.ElapsedSeconds();
   EXPECT_GT(result.patterns_evaluated, 100u);
+  for (const char* stage : {"Gen. Pat. Cand.", "Sampling for F1",
+                            "F-score Calc.", "Refine Patterns",
+                            "Top-k Selection", "Exact Supports"}) {
+    EXPECT_EQ(profiler.totals().count(stage), 1u) << stage;
+  }
   EXPECT_GT(profiler.Get("Refine Patterns"), 0.0);
   EXPECT_GT(profiler.Get("F-score Calc."), 0.0);
   EXPECT_LE(profiler.Total(), wall_seconds);
