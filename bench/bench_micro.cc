@@ -371,16 +371,15 @@ void BM_PatternMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternMatch);
 
-/// The scalar row-id kernel path (ReferenceMatchAll): the "before" row the
-/// mask kernels are gated against.
+/// The scalar row-id reference path (ReferenceMatchAll): the "before" row
+/// the mask path is gated against.
 void BM_PatternKernelMatch(benchmark::State& state) {
   auto& fx = KernelBenchFixture::Get();
-  PatternKernel kernel(fx.pattern, fx.table);
   std::vector<int32_t> rows;
   rows.reserve(fx.table.num_rows());
   size_t matches = 0;
   for (auto _ : state) {
-    kernel.ReferenceMatchAll(fx.table.num_rows(), &rows);
+    ReferenceMatchAll(fx.pattern, fx.table, &rows);
     matches = rows.size();
     benchmark::DoNotOptimize(rows.data());
   }
@@ -389,16 +388,22 @@ void BM_PatternKernelMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternKernelMatch);
 
-/// The bitmask-native path: chunked branch-free evaluation into selection
-/// words, later predicates fused by AND with skip-word early-out, no row-id
+/// The bitmask-native path: the pattern's three predicates added to a
+/// fresh PredicateTable (one branch-free EvalMask each into selection
+/// words), then one Match ANDing the slot masks, no row-id
 /// materialization. Acceptance: >= 3x BM_PatternKernelMatch items/s.
 void BM_PatternKernelMatchMask(benchmark::State& state) {
   auto& fx = KernelBenchFixture::Get();
-  PatternKernel kernel(fx.pattern, fx.table);
   CoverageBitmap mask;
+  std::vector<uint32_t> slots;
   size_t matches = 0;
   for (auto _ : state) {
-    matches = kernel.MatchMask(fx.table.num_rows(), &mask);
+    PredicateTable table({&fx.table});
+    slots.clear();
+    for (const PatternPredicate& p : fx.pattern.preds) {
+      slots.push_back(table.Add(p));
+    }
+    matches = table.Match(slots.data(), slots.size(), 0, nullptr, &mask);
     benchmark::DoNotOptimize(mask.MutableWords());
   }
   state.SetItemsProcessed(state.iterations() * fx.table.num_rows());

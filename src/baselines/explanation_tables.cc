@@ -93,6 +93,11 @@ std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
   if (options_.max_candidates > 0 && candidates.size() > options_.max_candidates) {
     candidates.resize(options_.max_candidates);
   }
+  std::vector<Pattern> patterns;
+  patterns.reserve(candidates.size());
+  for (const LcaCandidate& cand : candidates) {
+    patterns.push_back(SignaturePattern(apt.table, cat_cols, cand.codes));
+  }
 
   // Precompute per-candidate match bitmap lazily during gain scans; the
   // estimate vector carries the current model.
@@ -101,15 +106,15 @@ std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
   overall /= static_cast<double>(n);
   std::vector<double> estimate(n, overall);
 
-  std::vector<bool> used(candidates.size(), false);
+  std::vector<bool> used(patterns.size(), false);
   for (size_t round = 0; round < options_.table_size; ++round) {
     double best_gain = 1e-12;
     int best = -1;
     double best_rate = 0;
     int64_t best_count = 0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
+    for (size_t i = 0; i < patterns.size(); ++i) {
       if (used[i]) continue;
-      const Pattern& p = candidates[i].pattern;
+      const Pattern& p = patterns[i];
       // Gain: sum over matching rows of KL(actual rate || current estimate)
       // minus the residual after updating to the pattern's rate.
       int64_t count = 0;
@@ -138,7 +143,7 @@ std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
     }
     if (best < 0) break;
     used[best] = true;
-    const Pattern& p = candidates[best].pattern;
+    const Pattern& p = patterns[best];
     for (size_t r = 0; r < n; ++r) {
       if (p.Matches(apt.table, r)) estimate[r] = best_rate;
     }

@@ -81,8 +81,10 @@ struct CajadeConfig {
   size_t forest_row_cap = 800;
 
   // ---- Attribute clustering ------------------------------------------------
+  /// Clustering runs over the forest's feature matrix (at most
+  /// max(2 * forest_row_cap, 256) sampled rows), so it has no row cap of
+  /// its own.
   double cluster_threshold = 0.9;
-  size_t cluster_row_cap = 2000;
 
   // ---- Parallelism ---------------------------------------------------------
   /// Worker threads for per-join-graph explanation (materialize + mine).

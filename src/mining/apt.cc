@@ -66,7 +66,24 @@ bool PtRowIdentity(const std::vector<int32_t>& pt_row, size_t num_positions) {
   return true;
 }
 
+/// Fills ss->offsets from its slices' row counts.
+void FillOffsets(AptSliceSet* ss) {
+  ss->offsets.assign(1, 0);
+  for (const AptSlice& slice : ss->slices) {
+    ss->offsets.push_back(ss->offsets.back() + slice.num_rows());
+  }
+}
+
 }  // namespace
+
+std::pair<size_t, size_t> AptSliceSet::Locate(size_t row) const {
+  const size_t si =
+      static_cast<size_t>(
+          std::upper_bound(offsets.begin(), offsets.end(), row) -
+          offsets.begin()) -
+      1;
+  return {si, row - offsets[si]};
+}
 
 bool Apt::PtRowIsIdentity() const {
   return PtRowIdentity(pt_row, pt_rows_used.size());
@@ -80,6 +97,7 @@ AptSliceSet MakeSliceSet(const Apt& apt) {
   ss.num_pt_columns = apt.num_pt_columns;
   ss.total_rows = apt.num_rows();
   ss.pt_identity = apt.PtRowIsIdentity();
+  FillOffsets(&ss);
   return ss;
 }
 
@@ -99,6 +117,7 @@ AptSliceSet MakeSliceSet(const ShardedApt& apt) {
   ss.pt_identity = apt.shards.size() == 1 &&
                    PtRowIdentity(apt.shards.front().pt_row,
                                  apt.pt_rows_used.size());
+  FillOffsets(&ss);
   return ss;
 }
 

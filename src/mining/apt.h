@@ -36,6 +36,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/shared_lru_cache.h"
@@ -204,8 +205,16 @@ struct AptSliceSet {
   /// True when the set is a single slice whose pt_row is the identity map
   /// (Apt::PtRowIsIdentity): row masks double as coverage sets.
   bool pt_identity = false;
+  /// offsets[si] = global id of slice si's first row; one entry per slice
+  /// plus total_rows. Global row ids concatenate the slices in order, so a
+  /// sample drawn over total_rows hits the same logical rows at any shard
+  /// size.
+  std::vector<size_t> offsets;
 
   const Table& schema_table() const { return *slices.front().table; }
+
+  /// The (slice, slice-local row) of global row id `row` < total_rows.
+  std::pair<size_t, size_t> Locate(size_t row) const;
 };
 
 /// Borrowing adapters; the source APT must outlive the returned set.

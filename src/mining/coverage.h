@@ -132,7 +132,7 @@ inline size_t AndInto(const uint64_t* a, const uint64_t* b, size_t num_words,
 
 /// Calls `fn(bit_index)` for every set bit of `words` (ascending). Zero
 /// words are skipped, so cost tracks the popcount, not the span. The shared
-/// idiom behind the kernels' sparse paths and mask→coverage projection.
+/// idiom behind mask→coverage projection.
 template <typename Fn>
 inline void ForEachSetBit(const uint64_t* words, size_t num_words, Fn&& fn) {
   for (size_t w = 0; w < num_words; ++w) {

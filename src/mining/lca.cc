@@ -224,31 +224,20 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
   // Global row ids: the same draws, hitting the same logical rows, at any
   // shard size.
   std::vector<size_t> sample = rng->SampleIndices(ss.total_rows, sample_size);
-  std::vector<size_t> offsets(ss.slices.size() + 1, 0);
-  for (size_t si = 0; si < ss.slices.size(); ++si) {
-    offsets[si + 1] = offsets[si] + ss.slices[si].num_rows();
-  }
 
   // Pre-extract the categorical codes of the sampled rows (row-major), -1
   // for null. Codes are comparable across slices (the AptSliceSet
   // dictionary invariant), so the meet never consults the tables again.
   const size_t s = sample.size();
   const size_t k = cat_cols.size();
-  std::vector<size_t> s_slice(s), s_local(s);
-  for (size_t i = 0; i < s; ++i) {
-    const size_t si = static_cast<size_t>(
-                          std::upper_bound(offsets.begin(), offsets.end(),
-                                           sample[i]) -
-                          offsets.begin()) -
-                      1;
-    s_slice[i] = si;
-    s_local[i] = sample[i] - offsets[si];
-  }
+  std::vector<std::pair<size_t, size_t>> located(s);
+  for (size_t i = 0; i < s; ++i) located[i] = ss.Locate(sample[i]);
   std::vector<int32_t> rows(s * k);
   for (size_t c = 0; c < k; ++c) {
     for (size_t i = 0; i < s; ++i) {
-      const Column& col = ss.slices[s_slice[i]].table->column(cat_cols[c]);
-      rows[i * k + c] = col.IsNull(s_local[i]) ? -1 : col.GetCode(s_local[i]);
+      const auto& [si, r] = located[i];
+      const Column& col = ss.slices[si].table->column(cat_cols[c]);
+      rows[i * k + c] = col.IsNull(r) ? -1 : col.GetCode(r);
     }
   }
 
@@ -257,18 +246,11 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
   LcaSigCounts counts;
   CountGroupMeets(GroupRows(rows, s, k), &counts);
 
+  // Move every signature out of the map in its iteration order.
   out.reserve(counts.size());
-  for (const auto& [signature, count] : counts) {
-    LcaCandidate cand;
-    cand.pair_count = count;
-    for (size_t c = 0; c < k; ++c) {
-      if (signature[c] < 0) continue;
-      const Column& col = ss.schema_table().column(cat_cols[c]);
-      cand.pattern.preds.push_back(PatternPredicate::Make(
-          ss.schema_table(), cat_cols[c], PredOp::kEq,
-          Value(col.DictEntry(signature[c]))));
-    }
-    out.push_back(std::move(cand));
+  while (!counts.empty()) {
+    auto node = counts.extract(counts.begin());
+    out.push_back({std::move(node.key()), node.mapped()});
   }
   std::sort(out.begin(), out.end(), [](const LcaCandidate& a, const LcaCandidate& b) {
     return a.pair_count > b.pair_count;
@@ -280,6 +262,17 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const Apt& apt,
                                                 const std::vector<int>& cat_cols,
                                                 size_t sample_size, Rng* rng) {
   return GenerateLcaCandidates(MakeSliceSet(apt), cat_cols, sample_size, rng);
+}
+
+Pattern SignaturePattern(const Table& apt_table, const std::vector<int>& cat_cols,
+                         const std::vector<int32_t>& codes) {
+  Pattern pattern;
+  for (size_t c = 0; c < cat_cols.size(); ++c) {
+    if (codes[c] < 0) continue;
+    pattern.preds.push_back(
+        PatternPredicate::CodeEq(apt_table, cat_cols[c], codes[c]));
+  }
+  return pattern;
 }
 
 }  // namespace cajade

@@ -12,6 +12,11 @@
 // and accumulated per owner group in a table keyed by mask, so no pair
 // allocates or hashes a signature.
 //
+// A candidate is a signature, one dictionary code per categorical column
+// (-1 where the column is free), not a Pattern: the miner interns each
+// (column, code) as one predicate-table slot, and only the callers that
+// need Pattern values build them (SignaturePattern).
+//
 // Candidate order: candidates are sorted by descending pair count with an
 // unstable std::sort over the iteration order of an unordered_map keyed by
 // signature (lca_internal.h). Among equal counts the order therefore comes
@@ -40,9 +45,10 @@
 
 namespace cajade {
 
-/// A candidate with its pair-frequency in the sample.
+/// A candidate signature with its pair-frequency in the sample: codes[c]
+/// is the dictionary code cat_cols[c] must equal, or -1 for a free column.
 struct LcaCandidate {
-  Pattern pattern;
+  std::vector<int32_t> codes;
   int64_t pair_count = 0;
 };
 
@@ -60,6 +66,12 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
 std::vector<LcaCandidate> GenerateLcaCandidates(const Apt& apt,
                                                 const std::vector<int>& cat_cols,
                                                 size_t sample_size, Rng* rng);
+
+/// The Pattern of signature `codes` over `cat_cols`: one string equality
+/// per bound column, in cat_cols order, built from the codes of
+/// `apt_table`'s dictionaries.
+Pattern SignaturePattern(const Table& apt_table, const std::vector<int>& cat_cols,
+                         const std::vector<int32_t>& codes);
 
 }  // namespace cajade
 

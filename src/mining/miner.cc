@@ -1,9 +1,9 @@
 #include "src/mining/miner.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "src/mining/coverage.h"
 #include "src/mining/lca.h"
@@ -16,30 +16,6 @@ namespace cajade {
 
 namespace {
 
-/// Routing of global APT row ids to (slice, slice-local row): the global id
-/// space is the concatenation of the slices in order, so samples drawn over
-/// ss.total_rows hit the same logical rows at any shard size.
-struct SliceRouter {
-  std::vector<size_t> offsets;  // offsets[si] = first global row of slice si
-
-  explicit SliceRouter(const AptSliceSet& ss) {
-    offsets.resize(ss.slices.size() + 1, 0);
-    for (size_t si = 0; si < ss.slices.size(); ++si) {
-      offsets[si + 1] = offsets[si] + ss.slices[si].num_rows();
-    }
-  }
-
-  size_t SliceOf(size_t global_row) const {
-    return static_cast<size_t>(std::upper_bound(offsets.begin(), offsets.end(),
-                                                global_row) -
-                               offsets.begin()) -
-           1;
-  }
-  size_t LocalOf(size_t global_row, size_t slice) const {
-    return global_row - offsets[slice];
-  }
-};
-
 /// Builds an ML feature matrix from (a row sample of) the APT. The sample
 /// is drawn over global row ids, so the matrix — and everything the forest
 /// learns from it — is independent of the slicing.
@@ -49,15 +25,11 @@ FeatureMatrix BuildFeatureMatrix(const AptSliceSet& ss,
                                  Rng* rng) {
   FeatureMatrix m;
   std::vector<size_t> rows = rng->SampleIndices(ss.total_rows, row_cap);
-  const SliceRouter router(ss);
-  std::vector<size_t> r_slice(rows.size()), r_local(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    r_slice[i] = router.SliceOf(rows[i]);
-    r_local[i] = router.LocalOf(rows[i], r_slice[i]);
-  }
+  std::vector<std::pair<size_t, size_t>> located(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) located[i] = ss.Locate(rows[i]);
   m.labels.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    m.labels.push_back(classes[(*ss.slices[r_slice[i]].pt_row)[r_local[i]]]);
+  for (const auto& [si, r] : located) {
+    m.labels.push_back(classes[(*ss.slices[si].pt_row)[r]]);
   }
   m.columns.reserve(cols.size());
   for (int c : cols) {
@@ -66,12 +38,11 @@ FeatureMatrix BuildFeatureMatrix(const AptSliceSet& ss,
                                DataType::kString);
     std::vector<double> values;
     values.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
+    for (const auto& [si, r] : located) {
       // Dictionary codes are comparable across slices (the AptSliceSet
       // dictionary invariant), so categorical features agree with the
       // unsharded matrix code for code.
-      const Column& col = ss.slices[r_slice[i]].table->column(c);
-      const size_t r = r_local[i];
+      const Column& col = ss.slices[si].table->column(c);
       if (col.IsNull(r)) {
         values.push_back(std::nan(""));
       } else if (col.type() == DataType::kString) {
@@ -118,85 +89,92 @@ std::vector<double> FragmentBoundaries(const AptSliceSet& ss,
   return bounds;
 }
 
-/// One tree slot: a predicate plus its Pattern::Key() part, built once.
-struct RankPred {
-  PatternPredicate pred;
-  std::string key_part;
-};
+/// The PT coverage of per-slice match masks. On a single identity slice
+/// the mask is the coverage set itself; otherwise every slice's mask is
+/// projected through its pt_row (global positions) into `covered`, Reset
+/// to `num_positions`, so scores are independent of the slicing.
+const CoverageBitmap& Coverage(const AptSliceSet& ss,
+                               const std::vector<CoverageBitmap>& masks,
+                               size_t num_positions, CoverageBitmap* covered) {
+  if (ss.pt_identity) return masks[0];
+  covered->Reset(num_positions);
+  for (size_t si = 0; si < ss.slices.size(); ++si) {
+    CoverageScorer::CoverageFromMask(masks[si], *ss.slices[si].pt_row, covered);
+  }
+  return *covered;
+}
+
+/// Per-slice masks of the predicate list slots[0 .. num_slots) within
+/// `view` (its row masks, or every row); returns their summed popcount.
+size_t MatchInView(const PredicateTable& table, const MetricsView& view,
+                   const uint32_t* slots, size_t num_slots,
+                   std::vector<CoverageBitmap>* masks) {
+  size_t total = 0;
+  for (size_t si = 0; si < masks->size(); ++si) {
+    total += table.Match(slots, num_slots, si,
+                         view.all_rows ? nullptr : &view.slice_masks[si],
+                         &(*masks)[si]);
+  }
+  return total;
+}
 
 /// \brief The compact refinement tree of one Mine call.
 ///
-/// Roots are whole patterns (the seeds). Every other node adds one slot to
-/// its parent's pattern, so a refinement child costs one 12-byte node, not
-/// a copied and re-sorted Pattern. Children that refine with the same
-/// (attribute, op, boundary) share one slot. Ranking gathers a node's
-/// predicate list on demand; Patterns are built only for the winners.
+/// Every node binds one predicate-table slot on top of its parent's
+/// pattern, so a refinement child costs one 8-byte node, not a copied and
+/// re-sorted Pattern. A root with m predicates is a chain of m nodes, and
+/// the empty pattern is a root without a slot. Patterns that share a
+/// predicate share its slot. Ranking gathers a node's slot list on demand;
+/// Patterns are built only for the winners.
 class PatternTree {
  public:
-  /// Adds a slot holding `pred`; returns its id.
-  uint32_t AddSlot(PatternPredicate pred) {
-    std::string key_part = pred.KeyPart();
-    slots_.push_back({std::move(pred), std::move(key_part)});
-    return static_cast<uint32_t>(slots_.size() - 1);
-  }
+  explicit PatternTree(const PredicateTable* table) : table_(table) {}
 
-  /// Adds a root binding the predicates of `pattern`; returns its node id.
-  uint32_t AddRoot(const Pattern& pattern) {
-    const auto first = static_cast<uint32_t>(slots_.size());
-    for (const PatternPredicate& p : pattern.preds) AddSlot(p);
-    nodes_.push_back({-1, first, static_cast<uint32_t>(slots_.size())});
-    return static_cast<uint32_t>(nodes_.size() - 1);
+  const PredicateTable& table() const { return *table_; }
+
+  /// Adds a root binding slots[0 .. num_slots) as a chain; returns its last
+  /// node. No slots: the empty pattern.
+  uint32_t AddRoot(const uint32_t* slots, size_t num_slots) {
+    nodes_.push_back({-1, num_slots == 0 ? kNoSlot : slots[0]});
+    auto node = static_cast<uint32_t>(nodes_.size() - 1);
+    for (size_t i = 1; i < num_slots; ++i) node = AddChild(node, slots[i]);
+    return node;
   }
 
   /// Adds a child of `parent` that also binds `slot`; returns its node id.
   uint32_t AddChild(uint32_t parent, uint32_t slot) {
-    nodes_.push_back({static_cast<int32_t>(parent), slot, slot + 1});
+    nodes_.push_back({static_cast<int32_t>(parent), slot});
     return static_cast<uint32_t>(nodes_.size() - 1);
   }
 
-  /// True for a root without predicates: the empty pattern.
-  bool IsEmptyRoot(uint32_t node) const {
-    return nodes_[node].parent < 0 && nodes_[node].first == nodes_[node].last;
-  }
+  /// True for the root without predicates: the empty pattern.
+  bool IsEmptyRoot(uint32_t node) const { return nodes_[node].slot == kNoSlot; }
 
-  /// Fills `out` with the predicates of `node`'s pattern in (col, op)
-  /// order, the order of Pattern::preds. Allocation-free once `out` has
-  /// grown to the longest pattern. Pointers stay valid while no slot is
-  /// added.
-  void Gather(uint32_t node, std::vector<const RankPred*>* out) const {
+  /// Fills `out` with the slots of `node`'s pattern in (col, op) order, the
+  /// order of Pattern::preds. Allocation-free once `out` has grown to the
+  /// longest pattern.
+  void Gather(uint32_t node, std::vector<uint32_t>* out) const {
     out->clear();
     for (int64_t n = node; n >= 0; n = nodes_[n].parent) {
-      for (uint32_t s = nodes_[n].first; s < nodes_[n].last; ++s) {
-        out->push_back(&slots_[s]);
-      }
+      if (nodes_[n].slot != kNoSlot) out->push_back(nodes_[n].slot);
     }
-    std::sort(out->begin(), out->end(),
-              [](const RankPred* a, const RankPred* b) {
-                if (a->pred.col != b->pred.col) return a->pred.col < b->pred.col;
-                return static_cast<int>(a->pred.op) <
-                       static_cast<int>(b->pred.op);
-              });
-  }
-
-  /// The Pattern of `node`.
-  Pattern Build(uint32_t node) const {
-    std::vector<const RankPred*> preds;
-    Gather(node, &preds);
-    Pattern pattern;
-    pattern.preds.reserve(preds.size());
-    for (const RankPred* p : preds) pattern.preds.push_back(p->pred);
-    return pattern;
+    std::sort(out->begin(), out->end(), [this](uint32_t a, uint32_t b) {
+      const PatternPredicate& pa = table_->slot(a).pred;
+      const PatternPredicate& pb = table_->slot(b).pred;
+      if (pa.col != pb.col) return pa.col < pb.col;
+      return static_cast<int>(pa.op) < static_cast<int>(pb.op);
+    });
   }
 
  private:
-  /// A node binds slots [first, last): a root its pattern's, a child one.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   struct Node {
     int32_t parent;  // -1 for a root
-    uint32_t first;
-    uint32_t last;
+    uint32_t slot;   // kNoSlot for the empty pattern
   };
 
-  std::vector<RankPred> slots_;
+  const PredicateTable* table_;
   std::vector<Node> nodes_;
 };
 
@@ -231,27 +209,28 @@ double Diversity(const T* a, size_t na, const T* b, size_t nb, GetPred pred) {
   return sum / static_cast<double>(na);
 }
 
-/// Three-way comparison of the Pattern::Key() strings of two predicate
-/// lists in (col, op) order. Leading slots the lists share add equal text
-/// and are skipped. The first differing key parts then decide, unless one
-/// is a prefix of the other; only that rare case joins the remaining parts
-/// into the two reused buffers.
-int CompareKeys(const RankPred* const* a, size_t na, const RankPred* const* b,
-                size_t nb, std::string* buf_a, std::string* buf_b) {
+/// Three-way comparison of the Pattern::Key() strings of two slot lists in
+/// (col, op) order. Leading slots the lists share add equal text and are
+/// skipped. The first differing key parts then decide, unless one is a
+/// prefix of the other; only that rare case joins the remaining parts into
+/// the two reused buffers.
+int CompareKeys(const PredicateTable& table, const uint32_t* a, size_t na,
+                const uint32_t* b, size_t nb, std::string* buf_a,
+                std::string* buf_b) {
   size_t i = 0;
   while (i < na && i < nb && a[i] == b[i]) ++i;
   if (i == na || i == nb) {
     return static_cast<int>(na > i) - static_cast<int>(nb > i);
   }
-  const std::string& pa = a[i]->key_part;
-  const std::string& pb = b[i]->key_part;
+  const std::string& pa = table.slot(a[i]).key_part;
+  const std::string& pb = table.slot(b[i]).key_part;
   const size_t common = std::min(pa.size(), pb.size());
   if (int c = pa.compare(0, common, pb, 0, common); c != 0) return c;
-  auto join = [i](const RankPred* const* preds, size_t n, std::string* out) {
+  auto join = [&table, i](const uint32_t* slots, size_t n, std::string* out) {
     out->clear();
     for (size_t j = i; j < n; ++j) {
       if (j > i) *out += '&';
-      *out += preds[j]->key_part;
+      *out += table.slot(slots[j]).key_part;
     }
   };
   join(a, na, buf_a);
@@ -288,21 +267,22 @@ std::vector<size_t> RankTopK(const PatternTree& tree,
         ties, order.end(), [&](size_t i) { return fscore(i) == threshold; });
   }
 
-  // preds[first[i] .. first[i] + count[i]) lists entry i's predicates.
-  std::vector<const RankPred*> preds;
+  // slots[first[i] .. first[i] + count[i]) lists entry i's predicates.
+  const PredicateTable& table = tree.table();
+  std::vector<uint32_t> slots;
   std::vector<uint32_t> first(pool.size()), count(pool.size());
-  std::vector<const RankPred*> gathered;
+  std::vector<uint32_t> gathered;
   for (auto it = order.begin(); it != reached; ++it) {
     tree.Gather(pool[*it].node, &gathered);
-    first[*it] = static_cast<uint32_t>(preds.size());
+    first[*it] = static_cast<uint32_t>(slots.size());
     count[*it] = static_cast<uint32_t>(gathered.size());
-    preds.insert(preds.end(), gathered.begin(), gathered.end());
+    slots.insert(slots.end(), gathered.begin(), gathered.end());
   }
   std::string buf_a, buf_b;
   auto before = [&](size_t a, size_t b) {
     if (fscore(a) != fscore(b)) return fscore(a) > fscore(b);
-    if (int c = CompareKeys(preds.data() + first[a], count[a],
-                            preds.data() + first[b], count[b], &buf_a, &buf_b);
+    if (int c = CompareKeys(table, slots.data() + first[a], count[a],
+                            slots.data() + first[b], count[b], &buf_a, &buf_b);
         c != 0) {
       return c < 0;
     }
@@ -317,9 +297,9 @@ std::vector<size_t> RankTopK(const PatternTree& tree,
   if (!use_diversity) return order;
 
   auto diversity = [&](size_t a, size_t b) {
-    return Diversity(preds.data() + first[a], count[a], preds.data() + first[b],
-                     count[b], [](const RankPred* r) -> const PatternPredicate& {
-                       return r->pred;
+    return Diversity(slots.data() + first[a], count[a], slots.data() + first[b],
+                     count[b], [&table](uint32_t id) -> const PatternPredicate& {
+                       return table.slot(id).pred;
                      });
   };
   // Greedy wscore = F-score + min D over the picks. min_d[pos] is a running
@@ -353,47 +333,40 @@ std::vector<size_t> RankTopK(const PatternTree& tree,
 }
 
 /// Recursive-refinement driver state. Everything a candidate needs is built
-/// once per Mine: the predicate table (slots plus per-slice masks), the
-/// coverage bitmap, and the per-depth mask buffers. Evaluating a pattern
-/// therefore allocates nothing beyond amortized growth of the node and pool
-/// vectors.
+/// once per Mine: the predicate table, the coverage bitmap, and the
+/// per-depth mask buffers. Evaluating a pattern therefore allocates nothing
+/// beyond amortized growth of the node and pool vectors.
 struct RefineContext {
   const AptSliceSet* slices;
   const CajadeConfig* config;
+  const PredicateTable* table;
   PatternTree* tree;
   std::vector<PoolEntry>* pool;
-  /// Predicate table. The candidates of numeric attribute a are
-  /// [attr_begin[a], attr_begin[a+1]), in (op, boundary) order; candidate
-  /// j binds tree slot cand_slot[j], and its mask over every row of slice
-  /// si is slice_words[si] words at premasks[si][j * slice_words[si]].
+  /// The refinement predicates of numeric attribute a are the table slots
+  /// [attr_begin[a], attr_begin[a+1]), in (op, boundary) order.
   std::vector<uint32_t> attr_begin;
-  std::vector<uint32_t> cand_slot;
-  std::vector<size_t> slice_words;
-  std::vector<std::vector<uint64_t>> premasks;
   CoverageScorer scorer;                          // built once per Mine()
   CoverageBitmap covered;                         // reusable scratch
   /// Child match masks: [depth][slice]. Pre-sized in MineSlices to the
   /// maximum recursion depth so references stay stable across recursive
   /// calls.
   std::vector<std::vector<CoverageBitmap>> mask_arena;
-  bool pt_identity = false;  // single identity slice: mask == coverage
   size_t evaluated = 0;
   size_t row_work = 0;
   bool budget_exhausted = false;
   double fscore_seconds = 0.0;  // scoring time inside the refinement phase
 };
 
-/// Builds the predicate table: for each numeric attribute, op and
-/// non-trivial fragment boundary, the constant (INT64 columns truncate the
-/// boundary), its tree slot, and one EvalMask per slice. A child's match
-/// mask is then its parent's ANDed with the candidate's mask, which is
-/// bit-identical to filtering the parent by the predicate.
-void BuildPredicateTable(const AptSliceSet& ss, const MetricsView& view,
-                         const std::vector<int>& num_attrs, int num_fragments,
-                         RefineContext* ctx) {
+/// Adds the refinement predicates to the table: for each numeric attribute,
+/// op and non-trivial fragment boundary, the constant (INT64 columns
+/// truncate the boundary). A child's match mask is then its parent's ANDed
+/// with the predicate's slot mask, which is bit-identical to filtering the
+/// parent by the predicate.
+void AddNumericSlots(const AptSliceSet& ss, const MetricsView& view,
+                     const std::vector<int>& num_attrs, int num_fragments,
+                     PredicateTable* table, std::vector<uint32_t>* attr_begin) {
   const Table& schema = ss.schema_table();
-  std::vector<PatternPredicate> preds;
-  ctx->attr_begin.assign(1, 0);
+  attr_begin->assign(1, static_cast<uint32_t>(table->num_slots()));
   for (int col : num_attrs) {
     const std::vector<double> bounds =
         FragmentBoundaries(ss, view, col, num_fragments);
@@ -406,28 +379,10 @@ void BuildPredicateTable(const AptSliceSet& ss, const MetricsView& view,
         Value constant = schema.column(col).type() == DataType::kInt64
                              ? Value(static_cast<int64_t>(c))
                              : Value(c);
-        preds.push_back(
-            PatternPredicate::Make(schema, col, op, std::move(constant)));
+        table->Add(PatternPredicate::Make(schema, col, op, std::move(constant)));
       }
     }
-    ctx->attr_begin.push_back(static_cast<uint32_t>(preds.size()));
-  }
-  const std::vector<AptSlice>& slices = ss.slices;
-  ctx->slice_words.resize(slices.size());
-  ctx->premasks.resize(slices.size());
-  for (size_t si = 0; si < slices.size(); ++si) {
-    const size_t rows = slices[si].num_rows();
-    const size_t words = CoverageBitmap::NumWords(rows);
-    ctx->slice_words[si] = words;
-    ctx->premasks[si].resize(preds.size() * words);
-    for (size_t j = 0; j < preds.size(); ++j) {
-      CompiledPredicate::Compile(preds[j], *slices[si].table)
-          .EvalMask(rows, ctx->premasks[si].data() + j * words);
-    }
-  }
-  ctx->cand_slot.reserve(preds.size());
-  for (PatternPredicate& p : preds) {
-    ctx->cand_slot.push_back(ctx->tree->AddSlot(std::move(p)));
+    attr_begin->push_back(static_cast<uint32_t>(table->num_slots()));
   }
 }
 
@@ -436,11 +391,9 @@ void BuildPredicateTable(const AptSliceSet& ss, const MetricsView& view,
 /// popcount), appends qualifying pool entries, and recursively refines
 /// with numeric predicates on attributes after `next_attr` (the ordering
 /// removes duplicate generation). `depth` is the node's number of numeric
-/// predicates and indexes the arena masks its children filter into; the
-/// caller's `matched_masks` live at depth-1 (or in the seed) and stay
-/// untouched. Coverage merging is the shard-native
-/// core: per-slice masks project (global pt_row values) into ONE PT-wide
-/// coverage bitmap, so scores are independent of the slicing.
+/// predicates and indexes the arena masks its children match into; the
+/// caller's `matched_masks` live at depth-1 (or are the root's) and stay
+/// untouched.
 void ExpandPattern(RefineContext& ctx, uint32_t node,
                    const std::vector<CoverageBitmap>& matched_masks,
                    size_t total_count, size_t next_attr, size_t depth) {
@@ -451,25 +404,13 @@ void ExpandPattern(RefineContext& ctx, uint32_t node,
   }
   ++ctx.evaluated;
 
-  const std::vector<AptSlice>& slices = ctx.slices->slices;
-
-  // Coverage from the match masks (reused buffer, popcount scoring). With a
-  // single identity slice the match mask IS the coverage set and scores
-  // directly.
   double recall[2];
   Timer scoring;
-  const CoverageBitmap* cov = &matched_masks[0];
-  if (!ctx.pt_identity) {
-    ctx.covered.Reset(ctx.scorer.num_positions());
-    for (size_t si = 0; si < slices.size(); ++si) {
-      CoverageScorer::CoverageFromMask(matched_masks[si], *slices[si].pt_row,
-                                       &ctx.covered);
-    }
-    cov = &ctx.covered;
-  }
+  const CoverageBitmap& cov = Coverage(*ctx.slices, matched_masks,
+                                       ctx.scorer.num_positions(), &ctx.covered);
   const bool empty = ctx.tree->IsEmptyRoot(node);
   for (int primary = 0; primary < 2; ++primary) {
-    PatternScores s = ctx.scorer.Score(*cov, primary);
+    PatternScores s = ctx.scorer.Score(cov, primary);
     recall[primary] = s.recall;
     if (!empty && s.recall > ctx.config->recall_threshold) {
       ctx.pool->push_back({node, primary, s});
@@ -482,7 +423,7 @@ void ExpandPattern(RefineContext& ctx, uint32_t node,
       std::max(recall[0], recall[1]) <= ctx.config->recall_threshold) {
     return;
   }
-  // Seeds bind only categorical columns (asserted in MineSlices), so
+  // Seeds bind only categorical slots (LCA runs over cat_attrs), so
   // `depth` is the pattern's number of numeric predicates and every
   // attribute from next_attr on is still free.
   if (static_cast<int>(depth) >= ctx.config->max_numeric_attrs) return;
@@ -493,22 +434,20 @@ void ExpandPattern(RefineContext& ctx, uint32_t node,
   std::vector<CoverageBitmap>& child_masks = ctx.mask_arena[depth];
 
   for (size_t a = next_attr; a + 1 < ctx.attr_begin.size(); ++a) {
-    for (uint32_t j = ctx.attr_begin[a]; j < ctx.attr_begin[a + 1]; ++j) {
+    for (uint32_t slot = ctx.attr_begin[a]; slot < ctx.attr_begin[a + 1];
+         ++slot) {
       // Charged once per candidate (the same rows the unsharded filter
       // scans, summed over slices) so the row budget trips at the same
       // evaluation count at any shard size.
       ctx.row_work += total_count;
       size_t child_total = 0;
-      for (size_t si = 0; si < slices.size(); ++si) {
-        const size_t words = ctx.slice_words[si];
-        child_masks[si].ResetForOverwrite(slices[si].num_rows());
-        child_total += AndInto(matched_masks[si].words().data(),
-                               ctx.premasks[si].data() + j * words, words,
-                               child_masks[si].MutableWords());
+      for (size_t si = 0; si < child_masks.size(); ++si) {
+        child_total += ctx.table->Match(&slot, 1, si, &matched_masks[si],
+                                        &child_masks[si]);
       }
       if (child_total == 0) continue;
-      ExpandPattern(ctx, ctx.tree->AddChild(node, ctx.cand_slot[j]),
-                    child_masks, child_total, a + 1, depth + 1);
+      ExpandPattern(ctx, ctx.tree->AddChild(node, slot), child_masks,
+                    child_total, a + 1, depth + 1);
       if (ctx.budget_exhausted) return;
     }
   }
@@ -526,11 +465,18 @@ double DiversityScore(const Pattern& a, const Pattern& b) {
 
 std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
                                       size_t k, bool use_diversity) {
-  PatternTree tree;
+  PredicateTable table({});
+  PatternTree tree(&table);
   std::vector<PoolEntry> entries;
   entries.reserve(pool.size());
+  std::vector<uint32_t> slots;
   for (const MinedPattern& mp : pool) {
-    entries.push_back({tree.AddRoot(mp.pattern), mp.primary, mp.scores});
+    slots.clear();
+    for (const PatternPredicate& p : mp.pattern.preds) {
+      slots.push_back(table.Add(p));
+    }
+    entries.push_back(
+        {tree.AddRoot(slots.data(), slots.size()), mp.primary, mp.scores});
   }
   return RankTopK(tree, entries, k, use_diversity);
 }
@@ -660,133 +606,90 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   }
   result.lca_candidates = candidates.size();
 
-  // (iii) Recall-filter candidates; keep top k_cat by recall as seeds.
-  // Matching is mask-native and per slice: each slice's kernel match mask
-  // projects into one PT-wide coverage bitmap, so scores merge across
-  // shards by bit-OR of coverage, never by concatenating rows.
+  // (iii) Recall-filter candidates; keep the top k_cat by recall as seeds.
+  // Every (column, code) a scored candidate quotes is one table slot, so a
+  // candidate's per-slice mask is the AND of its slots' masks within the
+  // view. Masks project into one PT-wide coverage bitmap, so scores merge
+  // across shards by bit-OR of coverage, never by concatenating rows.
+  std::vector<const Table*> slice_tables;
+  for (const AptSlice& slice : slices) slice_tables.push_back(slice.table);
+  PredicateTable table(std::move(slice_tables));
+  // cand_slots[cand_begin[i] .. cand_begin[i+1]) are candidate i's slots.
+  std::vector<uint32_t> cand_slots;
+  std::vector<size_t> cand_begin(1, 0);
   struct Seed {
-    Pattern pattern;
-    std::vector<CoverageBitmap> masks;  // per slice
-    size_t total = 0;                   // summed popcount of the masks
+    size_t cand;
+    double recall;
   };
-  const bool pt_identity = ss.pt_identity;
   std::vector<Seed> seeds;
+  std::vector<CoverageBitmap> masks(num_slices);
+  CoverageBitmap covered;
   CoverageScorer scorer(classes, view);
   {
     ScopedStep step(profiler_, "F-score Calc.");
     // Bound the number of candidates scored (they are ordered by pair
     // frequency, the LCA heuristic's own ranking).
     const size_t kMaxScored = 500;
-    size_t scored = 0;
-    PatternKernel kernel;
-    std::vector<CoverageBitmap> masks(num_slices);
-    CoverageBitmap covered;
-    // Two passes so only the <= k_cat winners ever hold mask copies: first
-    // score every candidate in the reused buffers, then re-match just the
-    // kept seeds (the sort sees the same recall sequence the one-pass
-    // variant would, so ties resolve identically).
-    struct ScoredCandidate {
-      const Pattern* pattern;
-      double recall;
-    };
-    std::vector<ScoredCandidate> kept;
-    for (const auto& cand : candidates) {
-      if (scored >= kMaxScored) break;
-      ++scored;
-      for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(cand.pattern, *slices[si].table);
-        if (view.all_rows) {
-          kernel.MatchMask(slices[si].num_rows(), &masks[si]);
-        } else {
-          kernel.MatchMask(view.slice_masks[si], view.slice_rows[si].size(),
-                           &masks[si]);
+    for (size_t i = 0; i < candidates.size() && i < kMaxScored; ++i) {
+      const std::vector<int32_t>& codes = candidates[i].codes;
+      for (size_t c = 0; c < codes.size(); ++c) {
+        if (codes[c] >= 0) {
+          cand_slots.push_back(table.InternEq(cat_attrs[c], codes[c]));
         }
       }
-      const CoverageBitmap* cov = &masks[0];
-      if (!pt_identity) {
-        covered.Reset(scorer.num_positions());
-        for (size_t si = 0; si < num_slices; ++si) {
-          CoverageScorer::CoverageFromMask(masks[si], *slices[si].pt_row,
-                                           &covered);
-        }
-        cov = &covered;
-      }
+      cand_begin.push_back(cand_slots.size());
+      MatchInView(table, view, cand_slots.data() + cand_begin[i],
+                  cand_begin[i + 1] - cand_begin[i], &masks);
+      const CoverageBitmap& cov =
+          Coverage(ss, masks, scorer.num_positions(), &covered);
       double best_recall = 0;
       for (int primary = 0; primary < 2; ++primary) {
-        best_recall = std::max(best_recall,
-                               scorer.Score(*cov, primary).recall);
+        best_recall = std::max(best_recall, scorer.Score(cov, primary).recall);
       }
       if (best_recall > config_->recall_threshold) {
-        kept.push_back({&cand.pattern, best_recall});
+        seeds.push_back({i, best_recall});
       }
     }
-    std::sort(kept.begin(), kept.end(),
-              [](const ScoredCandidate& a, const ScoredCandidate& b) {
-                return a.recall > b.recall;
-              });
-    if (kept.size() > static_cast<size_t>(config_->k_cat)) {
-      kept.resize(config_->k_cat);
+    std::sort(seeds.begin(), seeds.end(), [](const Seed& a, const Seed& b) {
+      return a.recall > b.recall;
+    });
+    if (seeds.size() > static_cast<size_t>(config_->k_cat)) {
+      seeds.resize(config_->k_cat);
     }
-    seeds.reserve(kept.size() + 1);
-    for (const ScoredCandidate& sc : kept) {
-      Seed seed;
-      seed.pattern = *sc.pattern;
-      seed.masks.resize(num_slices);
-      for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(seed.pattern, *slices[si].table);
-        seed.total +=
-            view.all_rows
-                ? kernel.MatchMask(slices[si].num_rows(), &seed.masks[si])
-                : kernel.MatchMask(view.slice_masks[si],
-                                   view.slice_rows[si].size(),
-                                   &seed.masks[si]);
-      }
-      seeds.push_back(std::move(seed));
-    }
-  }
-  // The empty pattern seeds numeric-only refinements.
-  {
-    Seed empty;
-    empty.masks.resize(num_slices);
-    for (size_t si = 0; si < num_slices; ++si) {
-      if (view.all_rows) {
-        empty.masks[si].Reset(slices[si].num_rows());
-        empty.masks[si].SetAll();
-        empty.total += slices[si].num_rows();
-      } else {
-        empty.masks[si] = view.slice_masks[si];
-        empty.total += view.slice_rows[si].size();
-      }
-    }
-    seeds.push_back(std::move(empty));
   }
 
   // (iv) Numeric refinement over the compact tree. The phase is timed once
   // here; its scoring time is charged to "F-score Calc.", the rest to
   // "Refine Patterns", so nested recursion is never counted twice.
   Timer refine_timer;
-  PatternTree tree;
+  PatternTree tree(&table);
   std::vector<PoolEntry> pool;
   RefineContext ctx;
   ctx.slices = &ss;
   ctx.config = config_;
+  ctx.table = &table;
   ctx.tree = &tree;
   ctx.pool = &pool;
   ctx.scorer = std::move(scorer);
-  ctx.pt_identity = pt_identity;
   // One mask buffer set per recursion level; each level adds one
   // numeric predicate, so num_attrs.size() + 1 covers the deepest chain.
   // Sizing up front keeps buffer references stable across recursive calls.
   ctx.mask_arena.resize(num_attrs.size() + 1);
-  for (auto& masks : ctx.mask_arena) masks.resize(num_slices);
-  BuildPredicateTable(ss, view, num_attrs, config_->num_fragments, &ctx);
-  for (const auto& seed : seeds) {
-    // Seeds bind only categorical columns (LCA runs over cat_attrs).
-    assert(seed.pattern.NumNumericPreds(ss.schema_table()) == 0);
-    ExpandPattern(ctx, tree.AddRoot(seed.pattern), seed.masks, seed.total, 0,
-                  0);
+  for (auto& level : ctx.mask_arena) level.resize(num_slices);
+  AddNumericSlots(ss, view, num_attrs, config_->num_fragments, &table,
+                  &ctx.attr_begin);
+  // Each seed is a root over its categorical slots; the empty pattern,
+  // last, seeds numeric-only refinements.
+  auto expand_root = [&](const uint32_t* slots, size_t num_slots) {
+    const size_t total = MatchInView(table, view, slots, num_slots, &masks);
+    ExpandPattern(ctx, tree.AddRoot(slots, num_slots), masks, total, 0, 0);
+  };
+  for (const Seed& seed : seeds) {
+    expand_root(cand_slots.data() + cand_begin[seed.cand],
+                cand_begin[seed.cand + 1] - cand_begin[seed.cand]);
     if (ctx.budget_exhausted) break;
   }
+  if (!ctx.budget_exhausted) expand_root(nullptr, 0);
   result.patterns_evaluated = ctx.evaluated;
   result.budget_exhausted = ctx.budget_exhausted;
   if (profiler_ != nullptr) {
@@ -803,47 +706,25 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
                       config_->enable_diversity);
   }
 
-  // Exact relative supports (Definition 6) on the full APT for the winners.
-  // Multi-slice merging goes through CoverageBitmap::Or so the cross-shard
-  // merge path (and its width assert) is exercised even on this cold path.
+  // Exact relative supports (Definition 6) on the full APT for the winners:
+  // each winner's slots matched over every row of every slice.
   ScopedStep step(profiler_, "Exact Supports");
   MetricsView full = FullView(ss, classes);
   CoverageScorer full_scorer(classes, full);
-  PatternKernel kernel;
-  CoverageBitmap match_mask;
-  CoverageBitmap covered;
-  CoverageBitmap slice_covered;
+  std::vector<uint32_t> slots;
   for (size_t idx : picked) {
     MinedPattern mp;
-    mp.pattern = tree.Build(pool[idx].node);
+    tree.Gather(pool[idx].node, &slots);
+    for (uint32_t slot : slots) mp.pattern.preds.push_back(table.slot(slot).pred);
     mp.primary = pool[idx].primary;
     mp.scores = pool[idx].scores;
-    const CoverageBitmap* cov = nullptr;
-    if (pt_identity) {
-      kernel.Compile(mp.pattern, *slices[0].table);
-      kernel.MatchMask(slices[0].num_rows(), &match_mask);
-      cov = &match_mask;
-    } else if (num_slices == 1) {
-      kernel.Compile(mp.pattern, *slices[0].table);
-      kernel.MatchMask(slices[0].num_rows(), &match_mask);
-      covered.Reset(full_scorer.num_positions());
-      CoverageScorer::CoverageFromMask(match_mask, *slices[0].pt_row,
-                                       &covered);
-      cov = &covered;
-    } else {
-      covered.Reset(full_scorer.num_positions());
-      for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(mp.pattern, *slices[si].table);
-        kernel.MatchMask(slices[si].num_rows(), &match_mask);
-        slice_covered.Reset(full_scorer.num_positions());
-        CoverageScorer::CoverageFromMask(match_mask, *slices[si].pt_row,
-                                         &slice_covered);
-        covered.Or(slice_covered);
-      }
-      cov = &covered;
+    for (size_t si = 0; si < num_slices; ++si) {
+      table.Match(slots.data(), slots.size(), si, nullptr, &masks[si]);
     }
-    PatternScores sp = full_scorer.Score(*cov, mp.primary);
-    PatternScores so = full_scorer.Score(*cov, 1 - mp.primary);
+    const CoverageBitmap& cov =
+        Coverage(ss, masks, full_scorer.num_positions(), &covered);
+    PatternScores sp = full_scorer.Score(cov, mp.primary);
+    PatternScores so = full_scorer.Score(cov, 1 - mp.primary);
     mp.exact = sp;
     mp.support_primary = sp.tp;
     mp.total_primary = sp.tp + sp.fn;

@@ -68,10 +68,13 @@ struct MineResult {
 /// its scoring time goes to "F-score Calc." and the rest to "Refine
 /// Patterns".
 ///
-/// Refinement works on a compact tree: a child is a node {parent, predicate
-/// slot} and its match mask is the parent's ANDed with the slot's mask,
-/// precomputed once per Mine for every (numeric attribute, op, boundary).
-/// Patterns and Values are built only for the returned top-k.
+/// Seeds, refinement and exact supports match through one per-Mine
+/// PredicateTable (pattern_kernel.h): every (numeric attribute, op,
+/// boundary) and every (categorical column, code) a scored LCA candidate
+/// quotes is one slot with a precomputed mask per slice. Refinement works on
+/// a compact tree: a node is {parent, slot}, and a child's match mask is the
+/// parent's ANDed with the slot's mask. Patterns are built only for the
+/// returned top-k.
 ///
 /// Mine() is const and keeps all scratch state (the refinement tree,
 /// predicate table, coverage bitmaps, selection arenas) on its own stack,

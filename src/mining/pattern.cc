@@ -31,6 +31,15 @@ PatternPredicate PatternPredicate::Make(const Table& apt_table, int col,
   return p;
 }
 
+PatternPredicate PatternPredicate::CodeEq(const Table& apt_table, int col,
+                                          int32_t code) {
+  PatternPredicate p;
+  p.col = col;
+  p.value = Value(apt_table.column(col).DictEntry(code));
+  p.code = code;
+  return p;
+}
+
 std::string PatternPredicate::KeyPart() const {
   return Format("%d%s%s", col, PredOpToString(op), value.ToString().c_str());
 }

@@ -38,6 +38,11 @@ struct PatternPredicate {
   static PatternPredicate Make(const Table& apt_table, int col, PredOp op,
                                Value value);
 
+  /// The string equality `col = <dictionary entry code>` of `apt_table`,
+  /// built straight from the code (the same predicate Make builds from
+  /// the entry's string, without the dictionary lookup).
+  static PatternPredicate CodeEq(const Table& apt_table, int col, int32_t code);
+
   /// This predicate's part of Pattern::Key(): "<col><op><value>".
   std::string KeyPart() const;
 };

@@ -1,5 +1,7 @@
 #include "src/mining/pattern_kernel.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -7,12 +9,6 @@
 namespace cajade {
 
 namespace {
-
-/// Below this fill fraction (popcount * kSparseDenominator < num_rows) a
-/// mask refinement iterates set bits with scalar tests instead of running
-/// the full-word pipeline; the crossover sits where ~1.5ns per set bit beats
-/// ~0.3ns per row of vectorized evaluation.
-constexpr uint64_t kSparseDenominator = 8;
 
 /// Multiplier that gathers the low bit of each of 8 bytes into the top byte
 /// of the product: byte i (LSB first) lands on bit i.
@@ -91,29 +87,6 @@ inline void DispatchValueTest(const CompiledPredicate& p, Body&& body) {
   }
 }
 
-/// Shared sparse-mask filter: out[w] = bits of in[w] whose row passes
-/// `test` (every word written, zero words copied as zero), returning the
-/// result's popcount. Alias-safe (out may equal in). Used by every sparse
-/// path so the set-bit iteration subtleties live in one place.
-template <typename TestRowFn>
-inline uint64_t SparseFilterWords(const uint64_t* in, size_t num_words,
-                                  uint64_t* out, TestRowFn&& test) {
-  uint64_t pop = 0;
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t word = in[w];
-    uint64_t keep = 0;
-    const size_t base = w * 64;
-    while (word != 0) {
-      const unsigned b = static_cast<unsigned>(__builtin_ctzll(word));
-      word &= word - 1;
-      keep |= uint64_t{test(base + b)} << b;
-    }
-    out[w] = keep;
-    pop += static_cast<uint64_t>(__builtin_popcountll(keep));
-  }
-  return pop;
-}
-
 /// Shared filter skeleton for the reference row-id loops: `test(row)`
 /// decides survival with the null check already folded in by the caller.
 template <typename TestFn>
@@ -150,6 +123,16 @@ inline void DispatchPredicate(const CompiledPredicate& p, Body&& body) {
       return !p.nulls[static_cast<size_t>(r)] && cmp(static_cast<size_t>(r));
     });
   });
+}
+
+/// Compacts `*rows` by every predicate of `pattern` after the first (the
+/// reference row-id loops).
+void CompactByLaterPreds(const Pattern& pattern, const Table& table,
+                         std::vector<int32_t>* rows) {
+  for (size_t i = 1; i < pattern.preds.size() && !rows->empty(); ++i) {
+    DispatchPredicate(CompiledPredicate::Compile(pattern.preds[i], table),
+                      [&](auto&& test) { CompactLoop(rows, test); });
+  }
 }
 
 /// Exact int64 bound for `ints[r] <= c` with a double constant: every int64
@@ -263,45 +246,6 @@ uint64_t CompiledPredicate::EvalMask(size_t num_rows, uint64_t* out) const {
   return pop;
 }
 
-uint64_t CompiledPredicate::FilterMask(size_t num_rows, const uint64_t* in,
-                                       uint64_t in_popcount,
-                                       uint64_t* out) const {
-  const size_t num_words = CoverageBitmap::NumWords(num_rows);
-  if (kind == Kind::kNever || in_popcount == 0) {
-    std::fill_n(out, num_words, uint64_t{0});
-    return 0;
-  }
-  const uint8_t* null_bytes = col_has_nulls ? nulls : nullptr;
-  uint64_t pop = 0;
-  DispatchValueTest(*this, [&](auto&& cmp) {
-    if (in_popcount * kSparseDenominator < num_rows) {
-      // Sparse input: test only the set bits.
-      pop = SparseFilterWords(in, num_words, out, [&](size_t r) {
-        return cmp(r) && (null_bytes == nullptr || null_bytes[r] == 0);
-      });
-    } else {
-      const size_t full = num_rows / 64;
-      for (size_t w = 0; w < full; ++w) {
-        const uint64_t pw = in[w];
-        const uint64_t m =
-            pw == 0 ? 0 : (pw & EvalFullWord(w * 64, null_bytes, cmp));
-        out[w] = m;
-        pop += static_cast<uint64_t>(__builtin_popcountll(m));
-      }
-      const size_t tail = num_rows % 64;
-      if (tail != 0) {
-        const uint64_t pw = in[full];
-        const uint64_t m =
-            pw == 0 ? 0
-                    : (pw & EvalTailWord(full * 64, tail, null_bytes, cmp));
-        out[full] = m;
-        pop += static_cast<uint64_t>(__builtin_popcountll(m));
-      }
-    }
-  });
-  return pop;
-}
-
 void CompiledPredicate::FilterInto(const std::vector<int32_t>& rows_in,
                                    std::vector<int32_t>* rows_out) const {
   rows_out->clear();
@@ -310,116 +254,97 @@ void CompiledPredicate::FilterInto(const std::vector<int32_t>& rows_in,
   });
 }
 
-void CompiledPredicate::FilterInPlace(std::vector<int32_t>* rows) const {
-  DispatchPredicate(*this,
-                    [&](auto&& test) { CompactLoop(rows, test); });
+PredicateTable::PredicateTable(std::vector<const Table*> slices)
+    : tables_(std::move(slices)) {
+  rows_.reserve(tables_.size());
+  offsets_.reserve(tables_.size());
+  for (const Table* t : tables_) {
+    rows_.push_back(t->num_rows());
+    offsets_.push_back(words_);
+    words_ += CoverageBitmap::NumWords(t->num_rows());
+  }
 }
 
-void PatternKernel::Compile(const Pattern& pattern, const Table& table) {
-  preds_.clear();
-  never_matches_ = false;
-  preds_.reserve(pattern.preds.size());
-  for (const PatternPredicate& p : pattern.preds) {
-    preds_.push_back(CompiledPredicate::Compile(p, table));
-    if (preds_.back().kind == CompiledPredicate::Kind::kNever) {
-      never_matches_ = true;
+uint32_t PredicateTable::Add(PatternPredicate pred) {
+  const auto id = static_cast<uint32_t>(slots_.size());
+  masks_.resize(masks_.size() + words_);
+  for (size_t si = 0; si < tables_.size(); ++si) {
+    CompiledPredicate::Compile(pred, *tables_[si])
+        .EvalMask(rows_[si], masks_.data() + id * words_ + offsets_[si]);
+  }
+  std::string key_part = pred.KeyPart();
+  slots_.push_back({std::move(pred), std::move(key_part)});
+  return id;
+}
+
+uint32_t PredicateTable::InternEq(int col, int32_t code) {
+  const uint64_t key = uint64_t{static_cast<uint32_t>(col)} << 32 |
+                       static_cast<uint32_t>(code);
+  auto [it, inserted] = eq_slots_.try_emplace(key, 0);
+  if (inserted) {
+    it->second = Add(PatternPredicate::CodeEq(*tables_.front(), col, code));
+  }
+  return it->second;
+}
+
+size_t PredicateTable::Match(const uint32_t* slots, size_t num_slots,
+                             size_t slice, const CoverageBitmap* base,
+                             CoverageBitmap* out) const {
+  const size_t rows = rows_[slice];
+  assert(base == nullptr || base->num_bits() == rows);
+  const uint64_t* src = base == nullptr ? nullptr : base->words().data();
+  out->ResetForOverwrite(rows);
+  uint64_t* dst = out->MutableWords();
+  const size_t words = out->num_words();
+  if (num_slots == 0) {
+    if (src == nullptr) {
+      out->SetAll();
+      return rows;
     }
+    if (src != dst) std::copy_n(src, words, dst);
+    return out->Popcount();
   }
+  size_t pop = 0;
+  for (size_t i = 0; i < num_slots; ++i) {
+    const uint64_t* m = mask(slots[i], slice);
+    pop = AndInto(src == nullptr ? m : src, m, words, dst);
+    if (pop == 0) break;  // every word of dst is zero already
+    src = dst;
+  }
+  return pop;
 }
 
-bool PatternKernel::TestRow(int32_t row) const {
-  for (const CompiledPredicate& p : preds_) {
-    if (!p.Test(row)) return false;
-  }
-  return true;
-}
-
-size_t PatternKernel::MatchMask(size_t num_rows, CoverageBitmap* out) const {
-  out->ResetForOverwrite(num_rows);
-  uint64_t* words = out->MutableWords();
-  if (never_matches_) {
-    std::fill_n(words, out->num_words(), uint64_t{0});
-    return 0;
-  }
-  if (preds_.empty()) {
-    out->SetAll();
-    return num_rows;
-  }
-  uint64_t pop = preds_[0].EvalMask(num_rows, words);
-  for (size_t i = 1; i < preds_.size() && pop != 0; ++i) {
-    pop = preds_[i].FilterMask(num_rows, words, pop, words);
-  }
-  return static_cast<size_t>(pop);
-}
-
-size_t PatternKernel::MatchMask(const CoverageBitmap& base,
-                                CoverageBitmap* out) const {
-  return MatchMask(base, base.Popcount(), out);
-}
-
-size_t PatternKernel::MatchMask(const CoverageBitmap& base, size_t base_popcount,
-                                CoverageBitmap* out) const {
-  const size_t num_rows = base.num_bits();
-  out->ResetForOverwrite(num_rows);
-  uint64_t* words = out->MutableWords();
-  if (never_matches_) {
-    std::fill_n(words, out->num_words(), uint64_t{0});
-    return 0;
-  }
-  const uint64_t* base_words = base.words().data();
-  const size_t num_words = out->num_words();
-  if (preds_.empty()) {
-    std::memcpy(words, base_words, num_words * sizeof(uint64_t));
-    return base_popcount;
-  }
-  if (base_popcount * kSparseDenominator < num_rows) {
-    // Sparse base: scalar-test the whole predicate chain per set bit.
-    uint64_t pop = SparseFilterWords(base_words, num_words, words, [&](size_t r) {
-      return TestRow(static_cast<int32_t>(r));
-    });
-    return static_cast<size_t>(pop);
-  }
-  uint64_t pop = preds_[0].FilterMask(num_rows, base_words, base_popcount, words);
-  for (size_t i = 1; i < preds_.size() && pop != 0; ++i) {
-    pop = preds_[i].FilterMask(num_rows, words, pop, words);
-  }
-  return static_cast<size_t>(pop);
-}
-
-void PatternKernel::ReferenceMatchInto(const std::vector<int32_t>& rows_in,
-                                       std::vector<int32_t>* rows_out) const {
-  rows_out->clear();
-  if (never_matches_) return;
-  if (preds_.empty()) {
+void ReferenceMatchInto(const Pattern& pattern, const Table& table,
+                        const std::vector<int32_t>& rows_in,
+                        std::vector<int32_t>* rows_out) {
+  if (pattern.preds.empty()) {
     rows_out->assign(rows_in.begin(), rows_in.end());
     return;
   }
-  preds_[0].FilterInto(rows_in, rows_out);
-  for (size_t i = 1; i < preds_.size() && !rows_out->empty(); ++i) {
-    preds_[i].FilterInPlace(rows_out);
-  }
+  CompiledPredicate::Compile(pattern.preds[0], table)
+      .FilterInto(rows_in, rows_out);
+  CompactByLaterPreds(pattern, table, rows_out);
 }
 
-void PatternKernel::ReferenceMatchAll(size_t num_rows,
-                                      std::vector<int32_t>* rows_out) const {
+void ReferenceMatchAll(const Pattern& pattern, const Table& table,
+                       std::vector<int32_t>* rows_out) {
+  const size_t num_rows = table.num_rows();
   rows_out->clear();
-  if (never_matches_) return;
-  if (preds_.empty()) {
+  if (pattern.preds.empty()) {
     rows_out->resize(num_rows);
     std::iota(rows_out->begin(), rows_out->end(), 0);
     return;
   }
   rows_out->reserve(num_rows);
-  DispatchPredicate(preds_[0], [&](auto&& test) {
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (test(static_cast<int32_t>(r))) {
-        rows_out->push_back(static_cast<int32_t>(r));
-      }
-    }
-  });
-  for (size_t i = 1; i < preds_.size() && !rows_out->empty(); ++i) {
-    preds_[i].FilterInPlace(rows_out);
-  }
+  DispatchPredicate(
+      CompiledPredicate::Compile(pattern.preds[0], table), [&](auto&& test) {
+        for (size_t r = 0; r < num_rows; ++r) {
+          if (test(static_cast<int32_t>(r))) {
+            rows_out->push_back(static_cast<int32_t>(r));
+          }
+        }
+      });
+  CompactByLaterPreds(pattern, table, rows_out);
 }
 
 }  // namespace cajade

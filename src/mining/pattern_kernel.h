@@ -1,26 +1,31 @@
-// Columnar predicate kernels for pattern matching. A Pattern is compiled
-// once into typed per-column predicate loops (raw data-array pointers, no
-// Value boxing, no per-row virtual dispatch).
+// Columnar predicate kernels and the miner's predicate table.
 //
-// The hot path is bitmask-native: each predicate evaluates 64 rows per
-// output word with branch-free compares (EvalMask), NULLs fold in by
-// AND-NOT of the packed null bytes — skipped entirely on null-free columns
-// — and multi-predicate patterns fuse by ANDing later predicates only into
-// non-zero words of the running mask (FilterMask). The resulting mask feeds
-// coverage scoring directly; no row-id list is ever materialized.
+// A PatternPredicate compiles against a concrete table into a typed
+// per-column loop (raw data-array pointers, no Value boxing, no per-row
+// virtual dispatch). EvalMask evaluates 64 rows per output word with
+// branch-free compares; NULLs fold in by AND-NOT of the packed null bytes,
+// skipped entirely on null-free columns.
 //
-// The original row-id selection-vector path survives verbatim as
+// PredicateTable is the one place where a list of predicates becomes a row
+// mask. A Mine call adds every predicate it matches to one table, once:
+// the numeric refinement predicates, and each categorical (column, code)
+// equality the first time a scored LCA candidate quotes it. A slot's
+// full-row mask is evaluated per slice when the slot is added. Matching a
+// predicate list is then the AND of its slots' masks with a base mask (the
+// F-score view's rows, a refinement parent's rows, or every row) — seed
+// scoring, refinement and exact supports all match this way, and nothing
+// is compiled per candidate.
+//
+// The original row-id selection-vector path survives as the free functions
 // ReferenceMatchInto / ReferenceMatchAll: the differential-testing oracle
 // and bench baseline, mirroring ReferenceExecuteSpj / ReferenceMaterializeApt.
 //
-// Ownership and thread-safety: a compiled kernel borrows raw pointers into
-// the table's column storage — the table must outlive the kernel and must
-// not be mutated (appended to, dictionary-extended) while any kernel built
-// on it is live. Kernels hold no mutable state after Compile, so one
-// compiled PatternKernel may be matched from many threads concurrently;
-// compiling is cheap enough that the miner instead compiles per pattern
-// per worker. Output masks/buffers are caller-owned and must not be shared
-// across concurrent Match calls.
+// Ownership and thread-safety: a compiled predicate and a PredicateTable
+// borrow the tables they were built on — those must outlive them and must
+// not be mutated (appended to, dictionary-extended) meanwhile. A table owns
+// its slots and masks; Add/InternEq mutate it, while Match and the other
+// const members may run from many threads concurrently. Output masks are
+// caller-owned and must not be shared across concurrent Match calls.
 //
 // Kernels are exactly equivalent to the scalar Pattern::Matches loop except
 // for one deliberate fix: INT64 comparisons run against an exact int64
@@ -33,6 +38,8 @@
 #define CAJADE_MINING_PATTERN_KERNEL_H_
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/mining/coverage.h"
@@ -74,84 +81,81 @@ struct CompiledPredicate {
 
   static CompiledPredicate Compile(const PatternPredicate& pred, const Table& table);
 
-  /// Scalar test of one row (sparse-mask paths, tests).
+  /// Scalar test of one row (tests).
   bool Test(int32_t row) const;
-
-  // ---- Bitmask kernels (the hot path) --------------------------------------
 
   /// Evaluates rows [0, num_rows) into `out` (NumWords(num_rows) words,
   /// overwritten): bit i of word w = row w*64 + i matches. Tail bits beyond
   /// num_rows are zero. Returns the number of matching rows.
   uint64_t EvalMask(size_t num_rows, uint64_t* out) const;
 
-  /// Refines a selection mask: out = in AND predicate, over [0, num_rows).
-  /// Zero input words are skipped (skip-word early-out) and, when the input
-  /// is sparse, only its set bits are tested scalar instead of evaluating
-  /// full words. `in_popcount` must be popcount(in); `out` may alias `in`
-  /// (in-place refinement). Returns the popcount of the result.
-  uint64_t FilterMask(size_t num_rows, const uint64_t* in, uint64_t in_popcount,
-                      uint64_t* out) const;
-
-  // ---- Reference scalar loops (oracle + bench baseline) --------------------
-
-  /// Appends the rows of `rows_in` that satisfy the predicate to `*rows_out`
-  /// after clearing it. `rows_out` must not alias `rows_in`.
+  /// Reference scalar loop (oracle + bench baseline): appends the rows of
+  /// `rows_in` that satisfy the predicate to `*rows_out` after clearing it.
+  /// `rows_out` must not alias `rows_in`.
   void FilterInto(const std::vector<int32_t>& rows_in,
                   std::vector<int32_t>* rows_out) const;
-
-  /// In-place variant: compacts `*rows` down to the satisfying rows.
-  void FilterInPlace(std::vector<int32_t>* rows) const;
 };
 
-/// \brief A full pattern compiled into a sequence of typed predicate loops.
-class PatternKernel {
+/// \brief The predicates one Mine call matches, each with one full-row mask
+/// per slice.
+///
+/// Slot ids are dense and stable. A table over no slices only stores
+/// predicates (top-k ranking of caller-built patterns).
+class PredicateTable {
  public:
-  PatternKernel() = default;
-  PatternKernel(const Pattern& pattern, const Table& table) {
-    Compile(pattern, table);
+  /// A predicate with its Pattern::Key() part, built once.
+  struct Slot {
+    PatternPredicate pred;
+    std::string key_part;
+  };
+
+  /// A table over `slices`, one borrowed table per APT slice. The slices
+  /// share their dictionaries (the AptSliceSet invariant).
+  explicit PredicateTable(std::vector<const Table*> slices);
+
+  /// Adds a slot for `pred`, evaluating its mask on every slice; returns
+  /// its id. Equal predicates added twice get two slots.
+  uint32_t Add(PatternPredicate pred);
+
+  /// The slot of the string equality `col = <dictionary entry code>`,
+  /// added the first time (col, code) is asked for. Needs a slice.
+  uint32_t InternEq(int col, int32_t code);
+
+  const Slot& slot(uint32_t id) const { return slots_[id]; }
+  size_t num_slots() const { return slots_.size(); }
+  /// Slot `id`'s mask over every row of `slice`: one bit per row of the
+  /// slice's table, tail bits zero.
+  const uint64_t* mask(uint32_t id, size_t slice) const {
+    return masks_.data() + id * words_ + offsets_[slice];
   }
 
-  void Compile(const Pattern& pattern, const Table& table);
-
-  /// True when some predicate can match no row at all.
-  bool never_matches() const { return never_matches_; }
-
-  /// Scalar test of one row against every predicate.
-  bool TestRow(int32_t row) const;
-
-  // ---- Bitmask matching (the hot path) -------------------------------------
-
-  /// Full-table match into a mask over [0, num_rows): `out` is resized to
-  /// num_rows bits, bit r set iff every predicate matches row r. The first
-  /// predicate evaluates into the mask, later ones AND in with skip-word
-  /// early-out. An empty pattern sets every bit. Returns the match count.
-  size_t MatchMask(size_t num_rows, CoverageBitmap* out) const;
-
-  /// View-restricted match: out = base AND pattern, sized like `base`
-  /// (base.num_bits() is the row count). Density heuristic: a sparse base
-  /// iterates its set bits with scalar tests; a dense base runs the
-  /// full-word AND pipeline. Returns the match count. Callers that already
-  /// hold popcount(base) — it is invariant per view — pass it via the
-  /// second overload to skip the rescan.
-  size_t MatchMask(const CoverageBitmap& base, CoverageBitmap* out) const;
-  size_t MatchMask(const CoverageBitmap& base, size_t base_popcount,
-                   CoverageBitmap* out) const;
-
-  // ---- Reference row-id matching (oracle + bench baseline) -----------------
-
-  /// Batch match: fills `*rows_out` with the rows of `rows_in` matching
-  /// every predicate (cleared first, in input order). An empty pattern
-  /// copies `rows_in`. `rows_out` must not alias `rows_in`.
-  void ReferenceMatchInto(const std::vector<int32_t>& rows_in,
-                          std::vector<int32_t>* rows_out) const;
-
-  /// Batch match over all rows [0, num_rows).
-  void ReferenceMatchAll(size_t num_rows, std::vector<int32_t>* rows_out) const;
+  /// out = base AND the masks of slots[0 .. num_slots) over `slice`, where
+  /// a null `base` stands for every row; sized to the slice's row count. No
+  /// slots leave the base. `out` may alias `base`. Returns popcount(out).
+  size_t Match(const uint32_t* slots, size_t num_slots, size_t slice,
+               const CoverageBitmap* base, CoverageBitmap* out) const;
 
  private:
-  std::vector<CompiledPredicate> preds_;
-  bool never_matches_ = false;
+  std::vector<const Table*> tables_;
+  std::vector<size_t> rows_;      ///< rows per slice
+  std::vector<size_t> offsets_;   ///< first word of each slice in a slot
+  size_t words_ = 0;              ///< mask words per slot, all slices
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> masks_;   ///< slot id * words_ + offsets_[slice]
+  std::unordered_map<uint64_t, uint32_t> eq_slots_;  ///< (col, code) -> id
 };
+
+/// Scalar row-id reference (oracle + bench baseline): fills `*rows_out`
+/// with the rows of `rows_in` matching every predicate of `pattern`
+/// compiled against `table` (cleared first, in input order). An empty
+/// pattern copies `rows_in`. `rows_out` must not alias `rows_in`.
+void ReferenceMatchInto(const Pattern& pattern, const Table& table,
+                        const std::vector<int32_t>& rows_in,
+                        std::vector<int32_t>* rows_out);
+
+/// The same over every row [0, table.num_rows()).
+void ReferenceMatchAll(const Pattern& pattern, const Table& table,
+                       std::vector<int32_t>* rows_out);
 
 }  // namespace cajade
 

@@ -25,7 +25,7 @@ using PtClasses = std::vector<int8_t>;
 
 /// \brief A (possibly sampled) view of the APT over which metrics are
 /// computed. Shard-native: row selections are held per slice (slice-local
-/// row ids), so the miner restricts each shard's kernel to its own mask and
+/// row ids), so the miner restricts each shard's matches to its own mask and
 /// merges only coverage popcounts. A single-slice view over an unsharded
 /// APT is exactly the old whole-table view.
 struct MetricsView {
@@ -33,7 +33,7 @@ struct MetricsView {
   /// when `all_rows` (every row of every slice is in view).
   std::vector<std::vector<int32_t>> slice_rows;
   /// The same row sets as bitmasks over [0, slice.num_rows()), the base
-  /// masks of the kernels' view-restricted MatchMask path. Empty when
+  /// masks of view-restricted PredicateTable::Match calls. Empty when
   /// `all_rows` (full masks are implicit).
   std::vector<CoverageBitmap> slice_masks;
   bool all_rows = true;

@@ -255,6 +255,22 @@ TEST(QualityTest, SampledViewIsShardIndependent) {
   }
 }
 
+TEST(QualityTest, LocateRoutesGlobalRowsToSlices) {
+  AptFixture fx;
+  for (size_t shard_pts : {1u, 7u, 40u}) {
+    ShardedApt sa = SplitApt(fx.apt, shard_pts);
+    AptSliceSet ss = MakeSliceSet(sa);
+    ASSERT_EQ(ss.offsets.size(), ss.slices.size() + 1);
+    EXPECT_EQ(ss.offsets.back(), ss.total_rows);
+    size_t row = 0;
+    for (size_t si = 0; si < ss.slices.size(); ++si) {
+      for (size_t r = 0; r < ss.slices[si].num_rows(); ++r, ++row) {
+        EXPECT_EQ(ss.Locate(row), std::make_pair(si, r)) << "row " << row;
+      }
+    }
+  }
+}
+
 TEST(CoverageTest, OrMergesShardCoverage) {
   CoverageBitmap a(100), b(100);
   a.Set(3);
@@ -286,9 +302,17 @@ TEST(LcaTest, CandidatesAreEqualityMeets) {
   // Over one binary column, the only meets are cat=a and cat=b.
   EXPECT_LE(candidates.size(), 2u);
   for (const auto& c : candidates) {
-    EXPECT_EQ(c.pattern.size(), 1u);
-    EXPECT_EQ(c.pattern.preds[0].op, PredOp::kEq);
+    ASSERT_EQ(c.codes.size(), 1u);
+    EXPECT_GE(c.codes[0], 0);
+    EXPECT_LT(c.codes[0], 2);
     EXPECT_GT(c.pair_count, 0);
+    const Pattern p = SignaturePattern(fx.apt.table, {0}, c.codes);
+    ASSERT_EQ(p.size(), 1u);
+    EXPECT_EQ(p.preds[0].op, PredOp::kEq);
+    EXPECT_EQ(p.preds[0].code, c.codes[0]);
+  }
+  if (candidates.size() == 2) {
+    EXPECT_NE(candidates[0].codes, candidates[1].codes);
   }
   // Sorted by pair count.
   for (size_t i = 1; i < candidates.size(); ++i) {
@@ -313,14 +337,14 @@ TEST(LcaTest, SlicedCandidatesBitIdentical) {
     ASSERT_EQ(split.size(), whole.size()) << "shard_pts=" << shard_pts;
     for (size_t i = 0; i < whole.size(); ++i) {
       EXPECT_EQ(split[i].pair_count, whole[i].pair_count);
-      EXPECT_EQ(split[i].pattern.Key(), whole[i].pattern.Key());
+      EXPECT_EQ(split[i].codes, whole[i].codes);
     }
   }
 }
 
 /// Test-only oracle: LCA generation as a per-pair loop. Every sampled pair
 /// (i < j, in (i, j) order) bumps its signature in the same map type and
-/// hash as the library, followed by the same conversion and unstable sort.
+/// hash as the library, followed by the same unstable sort.
 std::vector<LcaCandidate> PairLoopLcaCandidates(const AptSliceSet& ss,
                                                 const std::vector<int>& cat_cols,
                                                 size_t sample_size, Rng* rng) {
@@ -352,18 +376,7 @@ std::vector<LcaCandidate> PairLoopLcaCandidates(const AptSliceSet& ss,
     }
   }
   std::vector<LcaCandidate> out;
-  for (const auto& [signature, count] : counts) {
-    LcaCandidate cand;
-    cand.pair_count = count;
-    for (size_t c = 0; c < k; ++c) {
-      if (signature[c] < 0) continue;
-      const Column& col = ss.schema_table().column(cat_cols[c]);
-      cand.pattern.preds.push_back(PatternPredicate::Make(
-          ss.schema_table(), cat_cols[c], PredOp::kEq,
-          Value(col.DictEntry(signature[c]))));
-    }
-    out.push_back(std::move(cand));
-  }
+  for (const auto& [signature, count] : counts) out.push_back({signature, count});
   std::sort(out.begin(), out.end(),
             [](const LcaCandidate& a, const LcaCandidate& b) {
               return a.pair_count > b.pair_count;
@@ -447,8 +460,7 @@ TEST(LcaTest, MatchesPairLoopOracle) {
         ASSERT_EQ(got.size(), expected.size());
         for (size_t i = 0; i < expected.size(); ++i) {
           ASSERT_EQ(got[i].pair_count, expected[i].pair_count) << "at " << i;
-          ASSERT_EQ(got[i].pattern.Key(), expected[i].pattern.Key())
-              << "at " << i;
+          ASSERT_EQ(got[i].codes, expected[i].codes) << "at " << i;
         }
       }
     }
@@ -513,6 +525,92 @@ TEST(MinerTest, ShardedMineBitIdentical) {
         EXPECT_EQ(s.total_primary, w.total_primary);
         EXPECT_EQ(s.support_other, w.support_other);
         EXPECT_EQ(s.total_other, w.total_other);
+      }
+    }
+  }
+}
+
+/// A generated APT over 150 PT rows with 1 to 3 APT rows each: two
+/// NULL-heavy string columns and two small-int columns (some NULLs), with
+/// class 0 skewed toward c0 = "x" and larger n0. Rows are in PT order, so
+/// SplitApt can shard it.
+struct GeneratedApt {
+  Apt apt;
+  PtClasses classes;
+};
+
+GeneratedApt MakeMinerApt(Rng* rng) {
+  GeneratedApt g;
+  Table t("APT", Schema({{"c0", DataType::kString},
+                         {"c1", DataType::kString},
+                         {"n0", DataType::kInt64},
+                         {"n1", DataType::kInt64}}));
+  for (int p = 0; p < 150; ++p) {
+    const bool class0 = rng->Bernoulli(0.5);
+    const size_t copies = 1 + rng->NextBounded(3);
+    for (size_t copy = 0; copy < copies; ++copy) {
+      Value c0 = rng->Bernoulli(0.4)
+                     ? Value::Null()
+                     : Value(class0 && rng->Bernoulli(0.6)
+                                 ? std::string("x")
+                                 : "y" + std::to_string(rng->NextBounded(3)));
+      Value c1 = rng->Bernoulli(0.5)
+                     ? Value::Null()
+                     : Value("z" + std::to_string(rng->NextBounded(class0 ? 2 : 4)));
+      Value n0 = rng->Bernoulli(0.3)
+                     ? Value::Null()
+                     : Value(rng->UniformInt(class0 ? 2 : 0, 6));
+      Value n1 = rng->Bernoulli(0.2) ? Value::Null() : Value(rng->UniformInt(0, 4));
+      (void)t.AppendRow({c0, c1, n0, n1});
+      g.apt.pt_row.push_back(p);
+    }
+    g.apt.pt_rows_used.push_back(p);
+    g.classes.push_back(class0 ? 0 : 1);
+  }
+  g.apt.table = std::move(t);
+  g.apt.num_pt_columns = 0;
+  g.apt.pattern_cols = {0, 1, 2, 3};
+  return g;
+}
+
+TEST(MinerTest, ExactSupportsMatchScalarOracle) {
+  // Every winner's exact scores and supports must equal the scalar
+  // Pattern::Matches oracle over the full view, whole or sharded, with or
+  // without F-score sampling.
+  Rng gen(77);
+  const GeneratedApt g = MakeMinerApt(&gen);
+  const MetricsView full = FullView(g.apt, g.classes);
+  for (double sample_rate : {1.0, 0.5}) {
+    CajadeConfig config;
+    config.enable_feature_selection = false;
+    config.f1_sample_rate = sample_rate;
+    PatternMiner miner(&config, nullptr);
+    for (size_t shard_pts : {0u, 1u, 7u, 64u}) {  // 0: the unsharded APT
+      SCOPED_TRACE("shard_pts=" + std::to_string(shard_pts) +
+                   " rate=" + std::to_string(sample_rate));
+      Rng rng(9);
+      const MineResult result =
+          shard_pts == 0
+              ? miner.Mine(g.apt, g.classes, &rng).ValueOrDie()
+              : miner.Mine(SplitApt(g.apt, shard_pts), g.classes, &rng)
+                    .ValueOrDie();
+      ASSERT_FALSE(result.top_k.empty());
+      for (const MinedPattern& mp : result.top_k) {
+        SCOPED_TRACE(mp.pattern.Key());
+        const PatternScores sp =
+            ScorePattern(mp.pattern, g.apt, g.classes, full, mp.primary);
+        const PatternScores so =
+            ScorePattern(mp.pattern, g.apt, g.classes, full, 1 - mp.primary);
+        EXPECT_EQ(mp.exact.tp, sp.tp);
+        EXPECT_EQ(mp.exact.fp, sp.fp);
+        EXPECT_EQ(mp.exact.fn, sp.fn);
+        EXPECT_DOUBLE_EQ(mp.exact.precision, sp.precision);
+        EXPECT_DOUBLE_EQ(mp.exact.recall, sp.recall);
+        EXPECT_DOUBLE_EQ(mp.exact.fscore, sp.fscore);
+        EXPECT_EQ(mp.support_primary, sp.tp);
+        EXPECT_EQ(mp.total_primary, sp.tp + sp.fn);
+        EXPECT_EQ(mp.support_other, so.tp);
+        EXPECT_EQ(mp.total_other, so.tp + so.fn);
       }
     }
   }

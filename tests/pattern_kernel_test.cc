@@ -1,15 +1,18 @@
 // Tests for the columnar pattern kernels and bitset coverage scoring:
-// bitmask kernels (MatchMask / EvalMask / FilterMask) differentially against
-// the scalar row-id reference path (ReferenceMatchAll / ReferenceMatchInto),
-// the reference path against the scalar Pattern::Matches loop, exact int64
-// threshold semantics beyond 2^53, and CoverageScorer equivalence with the
-// byte-vector ScoreFromCoverage.
+// PredicateTable matching (EvalMask slot masks ANDed with a base mask)
+// differentially against the scalar row-id reference path
+// (ReferenceMatchAll / ReferenceMatchInto), categorical-slot interning over
+// a sharded split, the reference path against the scalar Pattern::Matches
+// loop, exact int64 threshold semantics beyond 2^53, and CoverageScorer
+// equivalence with the byte-vector ScoreFromCoverage.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -77,29 +80,74 @@ CoverageBitmap RowsToMask(const std::vector<int32_t>& rows, size_t bits) {
   return mask;
 }
 
-TEST(PatternKernelTest, ReferenceMatchAllEqualsScalarLoopRandomized) {
+/// Adds `pattern`'s predicates to `table` as slots; returns their ids.
+std::vector<uint32_t> AddSlots(PredicateTable* table, const Pattern& pattern) {
+  std::vector<uint32_t> slots;
+  for (const PatternPredicate& p : pattern.preds) slots.push_back(table->Add(p));
+  return slots;
+}
+
+/// Matches `pattern` on `t` through a fresh single-slice PredicateTable:
+/// out = base AND pattern (a null base is every row).
+size_t TableMatch(const Table& t, const Pattern& pattern,
+                  const CoverageBitmap* base, CoverageBitmap* out) {
+  PredicateTable table({&t});
+  const std::vector<uint32_t> slots = AddSlots(&table, pattern);
+  return table.Match(slots.data(), slots.size(), 0, base, out);
+}
+
+/// Splits `t` into consecutive row ranges ending at `cuts` (ascending, the
+/// last one t.num_rows()). Slices adopt t's dictionaries, so codes stay
+/// comparable across them, as in a sharded APT.
+std::vector<Table> SplitTable(const Table& t, const std::vector<size_t>& cuts) {
+  std::vector<Table> out;
+  size_t begin = 0;
+  for (size_t end : cuts) {
+    std::vector<Column> cols;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Column& src = t.column(c);
+      Column dst(src.type());
+      if (src.type() == DataType::kString) dst.AdoptDictionary(src);
+      for (size_t r = begin; r < end; ++r) {
+        if (src.IsNull(r)) {
+          dst.AppendNull();
+        } else if (src.type() == DataType::kString) {
+          dst.AppendCode(src.GetCode(r));
+        } else if (src.type() == DataType::kInt64) {
+          dst.AppendInt(src.GetInt(r));
+        } else {
+          dst.AppendDouble(src.GetDouble(r));
+        }
+      }
+      cols.push_back(std::move(dst));
+    }
+    out.emplace_back(t.name(), t.schema(), std::move(cols), end - begin);
+    begin = end;
+  }
+  return out;
+}
+
+TEST(ReferenceMatchTest, MatchAllEqualsScalarLoopRandomized) {
   Rng rng(23);
   for (int trial = 0; trial < 30; ++trial) {
     Table t = RandomTable(50 + rng.NextBounded(200), &rng);
     Pattern p = RandomPattern(t, &rng);
-    PatternKernel kernel(p, t);
 
     std::vector<int32_t> expected;
     for (size_t r = 0; r < t.num_rows(); ++r) {
       if (p.Matches(t, r)) expected.push_back(static_cast<int32_t>(r));
     }
     std::vector<int32_t> actual;
-    kernel.ReferenceMatchAll(t.num_rows(), &actual);
+    ReferenceMatchAll(p, t, &actual);
     ASSERT_EQ(actual, expected) << "trial " << trial;
   }
 }
 
-TEST(PatternKernelTest, ReferenceMatchIntoFiltersSelectionVector) {
+TEST(ReferenceMatchTest, MatchIntoFiltersSelectionVector) {
   Rng rng(29);
   for (int trial = 0; trial < 20; ++trial) {
     Table t = RandomTable(100, &rng);
     Pattern p = RandomPattern(t, &rng);
-    PatternKernel kernel(p, t);
 
     std::vector<int32_t> subset;
     for (int32_t r = 0; r < static_cast<int32_t>(t.num_rows()); ++r) {
@@ -110,16 +158,16 @@ TEST(PatternKernelTest, ReferenceMatchIntoFiltersSelectionVector) {
       if (p.Matches(t, static_cast<size_t>(r))) expected.push_back(r);
     }
     std::vector<int32_t> actual;
-    kernel.ReferenceMatchInto(subset, &actual);
+    ReferenceMatchInto(p, t, subset, &actual);
     ASSERT_EQ(actual, expected) << "trial " << trial;
   }
 }
 
-// The tentpole differential: the bitmask kernels must be bit-identical to
-// the scalar reference path on NULL-heavy columns, across tail sizes
-// (num_rows % 64 != 0), and for both sparse and dense base masks (the two
-// sides of MatchMask's density heuristic).
-TEST(PatternKernelTest, MaskMatchesReferenceRandomizedNullHeavy) {
+// The central differential: table matching must be bit-identical to the
+// scalar reference path on NULL-heavy columns, across tail sizes
+// (num_rows % 64 != 0), and for sparse and dense base masks, including a
+// match written over its own base.
+TEST(PredicateTableTest, MatchEqualsReferenceRandomizedNullHeavy) {
   Rng rng(47);
   const double null_rates[] = {0.0, 0.1, 0.5, 0.95};
   for (int trial = 0; trial < 40; ++trial) {
@@ -128,13 +176,14 @@ TEST(PatternKernelTest, MaskMatchesReferenceRandomizedNullHeavy) {
     double null_rate = null_rates[trial % 4];
     Table t = RandomTable(rows, &rng, null_rate);
     Pattern p = RandomPattern(t, &rng);
-    PatternKernel kernel(p, t);
+    PredicateTable table({&t});
+    const std::vector<uint32_t> slots = AddSlots(&table, p);
 
-    // Full-table: MatchMask vs ReferenceMatchAll.
+    // Every row: Match without a base vs ReferenceMatchAll.
     std::vector<int32_t> expected;
-    kernel.ReferenceMatchAll(rows, &expected);
+    ReferenceMatchAll(p, t, &expected);
     CoverageBitmap mask;
-    size_t count = kernel.MatchMask(rows, &mask);
+    size_t count = table.Match(slots.data(), slots.size(), 0, nullptr, &mask);
     ASSERT_EQ(mask.num_bits(), rows);
     ASSERT_EQ(MaskToRows(mask), expected) << "trial " << trial;
     ASSERT_EQ(count, expected.size()) << "trial " << trial;
@@ -149,19 +198,24 @@ TEST(PatternKernelTest, MaskMatchesReferenceRandomizedNullHeavy) {
       }
       CoverageBitmap base = RowsToMask(subset, rows);
       std::vector<int32_t> expect_subset;
-      kernel.ReferenceMatchInto(subset, &expect_subset);
+      ReferenceMatchInto(p, t, subset, &expect_subset);
       CoverageBitmap out;
-      size_t sub_count = kernel.MatchMask(base, &out);
+      size_t sub_count =
+          table.Match(slots.data(), slots.size(), 0, &base, &out);
       ASSERT_EQ(MaskToRows(out), expect_subset)
           << "trial " << trial << " base_rate " << base_rate;
       ASSERT_EQ(sub_count, expect_subset.size());
+      // In place: the base itself as the output.
+      ASSERT_EQ(table.Match(slots.data(), slots.size(), 0, &base, &base),
+                expect_subset.size());
+      ASSERT_EQ(base.words(), out.words());
     }
   }
 }
 
 // Entirely-NULL columns produce all-NULL words: every predicate on them
 // matches nothing, on full words and tails alike.
-TEST(PatternKernelTest, AllNullColumnMatchesNothing) {
+TEST(PredicateTableTest, AllNullColumnMatchesNothing) {
   Table t("t", Schema({{"i", DataType::kInt64}, {"d", DataType::kDouble}}));
   for (size_t r = 0; r < 130; ++r) {  // two full words + a tail
     t.AppendRow({Value::Null(), Value(1.0)});
@@ -169,66 +223,64 @@ TEST(PatternKernelTest, AllNullColumnMatchesNothing) {
   for (PredOp op : {PredOp::kEq, PredOp::kLe, PredOp::kGe}) {
     Pattern p;
     p = p.Refine(PatternPredicate::Make(t, 0, op, Value(int64_t{0})));
-    PatternKernel kernel(p, t);
     CoverageBitmap mask;
-    EXPECT_EQ(kernel.MatchMask(t.num_rows(), &mask), 0u);
+    EXPECT_EQ(TableMatch(t, p, nullptr, &mask), 0u);
     EXPECT_EQ(mask.Popcount(), 0u);
     std::vector<int32_t> ref;
-    kernel.ReferenceMatchAll(t.num_rows(), &ref);
+    ReferenceMatchAll(p, t, &ref);
     EXPECT_TRUE(ref.empty());
   }
   // A null-free column in the same table still matches (the fast path must
   // not leak between predicates).
   Pattern p;
   p = p.Refine(PatternPredicate::Make(t, 1, PredOp::kLe, Value(2.0)));
-  PatternKernel kernel(p, t);
   CoverageBitmap mask;
-  EXPECT_EQ(kernel.MatchMask(t.num_rows(), &mask), t.num_rows());
+  EXPECT_EQ(TableMatch(t, p, nullptr, &mask), t.num_rows());
 }
 
-TEST(PatternKernelTest, EmptyPatternMatchesEverything) {
+TEST(PredicateTableTest, EmptySlotListMatchesTheBase) {
   Rng rng(31);
   Table t = RandomTable(40, &rng);
-  PatternKernel kernel{Pattern{}, t};
   std::vector<int32_t> rows;
-  kernel.ReferenceMatchAll(t.num_rows(), &rows);
+  ReferenceMatchAll(Pattern{}, t, &rows);
   ASSERT_EQ(rows.size(), t.num_rows());
   for (size_t r = 0; r < rows.size(); ++r) {
     EXPECT_EQ(rows[r], static_cast<int32_t>(r));
   }
   std::vector<int32_t> subset = {3, 7, 9};
   std::vector<int32_t> out;
-  kernel.ReferenceMatchInto(subset, &out);
+  ReferenceMatchInto(Pattern{}, t, subset, &out);
   EXPECT_EQ(out, subset);
 
-  // Mask flavors: full table is all-ones (tail bits zero), view-restricted
-  // copies the base.
+  // Every row is all-ones (tail bits zero); a base is copied.
   CoverageBitmap mask;
-  EXPECT_EQ(kernel.MatchMask(t.num_rows(), &mask), t.num_rows());
+  EXPECT_EQ(TableMatch(t, Pattern{}, nullptr, &mask), t.num_rows());
   EXPECT_EQ(mask.Popcount(), t.num_rows());
   CoverageBitmap base = RowsToMask(subset, t.num_rows());
   CoverageBitmap restricted;
-  EXPECT_EQ(kernel.MatchMask(base, &restricted), subset.size());
+  EXPECT_EQ(TableMatch(t, Pattern{}, &base, &restricted), subset.size());
   EXPECT_EQ(MaskToRows(restricted), subset);
+  EXPECT_EQ(TableMatch(t, Pattern{}, &base, &base), subset.size());
+  EXPECT_EQ(MaskToRows(base), subset);
 }
 
-TEST(PatternKernelTest, MissingDictionaryConstantMatchesNothing) {
+TEST(PredicateTableTest, MissingDictionaryConstantMatchesNothing) {
   Rng rng(37);
   Table t = RandomTable(60, &rng);
   Pattern p;
   p = p.Refine(PatternPredicate::Make(t, 2, PredOp::kEq, Value("nope")));
-  PatternKernel kernel(p, t);
-  EXPECT_TRUE(kernel.never_matches());
+  EXPECT_EQ(CompiledPredicate::Compile(p.preds[0], t).kind,
+            CompiledPredicate::Kind::kNever);
   std::vector<int32_t> rows;
-  kernel.ReferenceMatchAll(t.num_rows(), &rows);
+  ReferenceMatchAll(p, t, &rows);
   EXPECT_TRUE(rows.empty());
   CoverageBitmap mask;
-  EXPECT_EQ(kernel.MatchMask(t.num_rows(), &mask), 0u);
+  EXPECT_EQ(TableMatch(t, p, nullptr, &mask), 0u);
   EXPECT_EQ(mask.num_bits(), t.num_rows());
   EXPECT_EQ(mask.Popcount(), 0u);
   CoverageBitmap base(t.num_rows());
   base.SetAll();
-  EXPECT_EQ(kernel.MatchMask(base, &mask), 0u);
+  EXPECT_EQ(TableMatch(t, p, &base, &mask), 0u);
   EXPECT_EQ(mask.Popcount(), 0u);
 }
 
@@ -237,7 +289,7 @@ TEST(PatternKernelTest, MissingDictionaryConstantMatchesNothing) {
 // equates e.g. 2^62 + 1 with 2^62 + 2 (both round to the same double);
 // Pattern::Matches still does, which is exactly why the kernels pin the
 // exact semantics here instead of differentially.
-TEST(PatternKernelTest, HugeInt64ThresholdsAreExact) {
+TEST(PredicateTableTest, HugeInt64ThresholdsAreExact) {
   const int64_t base = int64_t{1} << 62;
   Table t("t", Schema({{"i", DataType::kInt64}}));
   for (int64_t delta : {0, 1, 2, 3}) t.AppendRow({Value(base + delta)});
@@ -246,12 +298,11 @@ TEST(PatternKernelTest, HugeInt64ThresholdsAreExact) {
   auto match = [&](PredOp op, Value v) {
     Pattern p;
     p = p.Refine(PatternPredicate::Make(t, 0, op, std::move(v)));
-    PatternKernel kernel(p, t);
     CoverageBitmap mask;
-    kernel.MatchMask(t.num_rows(), &mask);
-    // Every kernel entry point agrees with the mask.
+    TableMatch(t, p, nullptr, &mask);
+    // The reference path agrees with the mask.
     std::vector<int32_t> ref;
-    kernel.ReferenceMatchAll(t.num_rows(), &ref);
+    ReferenceMatchAll(p, t, &ref);
     EXPECT_EQ(MaskToRows(mask), ref);
     return MaskToRows(mask);
   };
@@ -272,6 +323,73 @@ TEST(PatternKernelTest, HugeInt64ThresholdsAreExact) {
   EXPECT_EQ(match(PredOp::kGe, Value(-1e300)), (std::vector<int32_t>{0, 1, 2, 3}));
   EXPECT_EQ(match(PredOp::kEq, Value(std::nan(""))), (std::vector<int32_t>{}));
   EXPECT_EQ(match(PredOp::kLe, Value(std::nan(""))), (std::vector<int32_t>{}));
+}
+
+// A categorical equality is interned once per (col, code): asking again
+// returns the same slot, the slot's predicate is the one Make builds from
+// the dictionary string, and its masks equal EvalMask on every slice of a
+// random split. Multi-slice matching equals the reference on each slice.
+TEST(PredicateTableTest, InternEqSharesOneSlotPerColumnCode) {
+  Rng rng(61);
+  for (int trial = 0; trial < 20; ++trial) {
+    Table t = RandomTable(1 + rng.NextBounded(400), &rng, trial % 2 ? 0.5 : 0.0);
+    std::vector<size_t> cuts;
+    for (size_t r = 1; r < t.num_rows(); ++r) {
+      if (rng.Bernoulli(0.02)) cuts.push_back(r);
+    }
+    cuts.push_back(t.num_rows());
+    const std::vector<Table> slices = SplitTable(t, cuts);
+    std::vector<const Table*> ptrs;
+    for (const Table& s : slices) ptrs.push_back(&s);
+    PredicateTable table(ptrs);
+
+    const Column& col = t.column(2);
+    std::vector<uint32_t> ids;
+    for (int32_t code = 0; code < static_cast<int32_t>(col.dict_size()); ++code) {
+      ids.push_back(table.InternEq(2, code));
+    }
+    EXPECT_EQ(table.num_slots(), col.dict_size());
+    for (int32_t code = 0; code < static_cast<int32_t>(col.dict_size()); ++code) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " code " +
+                   std::to_string(code));
+      const uint32_t id = ids[code];
+      EXPECT_EQ(table.InternEq(2, code), id);
+      const PatternPredicate made = PatternPredicate::Make(
+          t, 2, PredOp::kEq, Value(col.DictEntry(code)));
+      const PatternPredicate& pred = table.slot(id).pred;
+      EXPECT_EQ(pred.col, made.col);
+      EXPECT_EQ(pred.op, made.op);
+      EXPECT_EQ(pred.value, made.value);
+      EXPECT_EQ(pred.code, made.code);
+      EXPECT_EQ(pred.num, made.num);
+      EXPECT_EQ(table.slot(id).key_part, made.KeyPart());
+      for (size_t si = 0; si < slices.size(); ++si) {
+        const size_t rows = slices[si].num_rows();
+        std::vector<uint64_t> expect(CoverageBitmap::NumWords(rows));
+        CompiledPredicate::Compile(made, slices[si]).EvalMask(rows, expect.data());
+        ASSERT_TRUE(std::equal(expect.begin(), expect.end(), table.mask(id, si)))
+            << "slice " << si;
+      }
+    }
+
+    // A random pattern plus an interned equality, matched slice by slice.
+    Pattern p = RandomPattern(t, &rng);
+    std::vector<uint32_t> slots = AddSlots(&table, p);
+    Pattern with_eq = p;
+    if (with_eq.IsFree(2) && col.dict_size() > 0) {
+      const int32_t code = static_cast<int32_t>(rng.NextBounded(col.dict_size()));
+      slots.push_back(table.InternEq(2, code));
+      with_eq = with_eq.Refine(PatternPredicate::CodeEq(t, 2, code));
+    }
+    for (size_t si = 0; si < slices.size(); ++si) {
+      std::vector<int32_t> expected;
+      ReferenceMatchAll(with_eq, slices[si], &expected);
+      CoverageBitmap mask;
+      ASSERT_EQ(table.Match(slots.data(), slots.size(), si, nullptr, &mask),
+                expected.size());
+      ASSERT_EQ(MaskToRows(mask), expected) << "slice " << si;
+    }
+  }
 }
 
 TEST(CompiledPredicateTest, ScalarTestAgreesWithPatternMatches) {
@@ -295,9 +413,9 @@ TEST(CompiledPredicateTest, ScalarTestAgreesWithPatternMatches) {
   }
 }
 
-// EvalMask / FilterMask agree with the scalar Test on every row, including
-// FilterMask's two internal paths (sparse set-bit iteration vs full-word
-// AND) and in-place refinement (out aliasing in).
+// EvalMask, and a one-slot Match against a sparse or dense base, agree
+// with the scalar Test on every row, also when the match overwrites its
+// base in place.
 TEST(CompiledPredicateTest, MaskKernelsAgreeWithScalarTest) {
   Rng rng(53);
   for (int trial = 0; trial < 25; ++trial) {
@@ -309,8 +427,8 @@ TEST(CompiledPredicateTest, MaskKernelsAgreeWithScalarTest) {
     Value v = col == 0   ? Value(rng.UniformInt(-5, 15))
               : col == 1 ? Value(rng.Uniform(-2.0, 2.0))
                          : Value("c" + std::to_string(rng.NextBounded(6)));
-    CompiledPredicate cp =
-        CompiledPredicate::Compile(PatternPredicate::Make(t, col, op, v), t);
+    const PatternPredicate pred = PatternPredicate::Make(t, col, op, v);
+    CompiledPredicate cp = CompiledPredicate::Compile(pred, t);
 
     CoverageBitmap mask;
     mask.ResetForOverwrite(rows);
@@ -324,25 +442,20 @@ TEST(CompiledPredicateTest, MaskKernelsAgreeWithScalarTest) {
     ASSERT_EQ(pop, expect_pop);
     ASSERT_EQ(mask.Popcount(), expect_pop);  // tail bits must be zero
 
+    PredicateTable table({&t});
+    const uint32_t slot = table.Add(pred);
     for (double rate : {0.02, 0.8}) {
       CoverageBitmap in(rows);
-      uint64_t in_pop = 0;
       for (size_t r = 0; r < rows; ++r) {
-        if (rng.Bernoulli(rate)) {
-          in.Set(r);
-          ++in_pop;
-        }
+        if (rng.Bernoulli(rate)) in.Set(r);
       }
       const CoverageBitmap original_in = in;
       CoverageBitmap out;
-      out.ResetForOverwrite(rows);
-      uint64_t out_pop =
-          cp.FilterMask(rows, in.words().data(), in_pop, out.MutableWords());
-      uint64_t in_place_pop =
-          cp.FilterMask(rows, in.MutableWords(), in_pop, in.MutableWords());
+      const size_t out_pop = table.Match(&slot, 1, 0, &in, &out);
+      const size_t in_place_pop = table.Match(&slot, 1, 0, &in, &in);
       ASSERT_EQ(out_pop, in_place_pop);
       ASSERT_EQ(out.words(), in.words());
-      uint64_t expect_out = 0;
+      size_t expect_out = 0;
       for (size_t r = 0; r < rows; ++r) {
         bool expect =
             original_in.Test(r) && cp.Test(static_cast<int32_t>(r));

@@ -29,6 +29,10 @@ Three checks, each meant to stop a specific silent-rot failure mode:
    an `Options::x` table row must name a field of ExplainServer::Options
    (src/serve/explain_server.h), and a row of the engine-knobs section must
    name a CajadeConfig field, so a removed knob cannot stay documented.
+   Every field must also be read (`.name` or `->name`, outside comments and
+   strings) somewhere under src/ other than config.h: a documented knob
+   that nothing reads (as `cluster_row_cap` was) tells operators it tunes
+   something it does not.
 
 Usage:
   python3 tools/lint_contracts.py [root]     lint the tree (root defaults to
@@ -289,8 +293,9 @@ def engine_knobs_section(doc):
 
 
 def check_config_knobs(root):
-    """Every CajadeConfig field has a backticked row in SERVING.md, and
-    every knob row there names a field that exists."""
+    """Every CajadeConfig field has a backticked row in SERVING.md and is
+    read somewhere under src/, and every knob row there names a field that
+    exists."""
     config = os.path.join(root, CONFIG_HEADER)
     if not os.path.exists(config):
         return []  # partial tree (e.g. self-test fixtures without an engine)
@@ -309,6 +314,19 @@ def check_config_knobs(root):
                 f"{CONFIG_HEADER}: config knob '{name}' has no backticked "
                 f"entry in {KNOBS_DOC} — add it to the engine-knobs tables "
                 f"(default + meaning)")
+    sources = []
+    for path in cxx_files(root, ["src"]):
+        if os.path.relpath(path, root) == CONFIG_HEADER:
+            continue
+        with open(path, encoding="utf-8") as f:
+            sources.append(strip_comments_and_strings(f.read()))
+    code = "\n".join(sources)
+    for name in fields:
+        if not re.search(r"(?:\.|->)\s*" + name + r"\b", code):
+            errors.append(
+                f"{CONFIG_HEADER}: config knob '{name}' is never read "
+                f"(.{name} / ->{name}) under src/ — wire it up or remove it "
+                f"and its {KNOBS_DOC} row")
     options = server_option_fields(root)
     for name in OPTIONS_ROW.findall(doc):
         if name not in options:
@@ -394,6 +412,13 @@ struct MiniConfig {
 #endif
 """
 
+CLEAN_READER = """\
+// Reads every knob of MiniConfig.
+int Widgets(const MiniConfig& config, const MiniConfig* shared) {
+  return config.widget_count + static_cast<int>(shared->shard_rows);
+}
+"""
+
 CLEAN_SERVER = """\
 // Mini server.
 //
@@ -450,6 +475,7 @@ def make_clean_tree(root):
                   CLEAN_CI)
     write_fixture(root, "BENCH_widget.json", CLEAN_JSON)
     write_fixture(root, CONFIG_HEADER, CLEAN_CONFIG)
+    write_fixture(root, os.path.join("src", "widget.cc"), CLEAN_READER)
     write_fixture(root, SERVER_HEADER, CLEAN_SERVER)
     write_fixture(root, KNOBS_DOC, CLEAN_SERVING)
 
@@ -520,6 +546,27 @@ def self_test():
                                   "  size_t shard_rows = 0;\n"
                                   "  int shard_extra = 1;")),
          True)
+    def add_documented_knob(root, reader_note):
+        write_fixture(root, CONFIG_HEADER, CLEAN_CONFIG.replace(
+            "  size_t shard_rows = 0;",
+            "  size_t shard_rows = 0;\n  size_t unread_cap = 2000;"))
+        write_fixture(root, KNOBS_DOC, CLEAN_SERVING.replace(
+            "| `shard_rows` | 0 | rows per shard (0 = unsharded) |\n",
+            "| `shard_rows` | 0 | rows per shard (0 = unsharded) |\n"
+            "| `unread_cap` | 2000 | rows sampled |\n"))
+        write_fixture(root, os.path.join("src", "reader.cc"), reader_note)
+
+    case("unread knob caught",
+         lambda root: add_documented_knob(root, "int unread_cap = 0;\n"),
+         True)
+    case("knob read only in a comment still caught",
+         lambda root: add_documented_knob(
+             root, "// config.unread_cap sizes the sample\nint x = 0;\n"),
+         True)
+    case("knob read through a pointer accepted",
+         lambda root: add_documented_knob(
+             root, "size_t Cap(const MiniConfig* c) { return c->unread_cap; }\n"),
+         False)
     case("stale Options:: knob row caught",
          lambda root: write_fixture(
              root, KNOBS_DOC,
