@@ -17,6 +17,7 @@
 #endif
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <numeric>
@@ -36,6 +37,7 @@
 #include "src/mining/miner.h"
 #include "src/mining/pattern_kernel.h"
 #include "src/ml/random_forest.h"
+#include "src/ml/varclus.h"
 #include "src/provenance/provenance.h"
 #include "src/sql/parser.h"
 
@@ -892,6 +894,58 @@ void BM_ForestTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestTrain);
+
+/// A feature matrix shaped like mimic's feature-selection input: 1,450 rows
+/// of 11 low-cardinality features (3 to 40 distinct values each; even
+/// features are categorical codes with gaps, odd ones small numerics; about
+/// 5% NULLs), labels driven by two features plus 10% noise.
+FeatureMatrix LowCardMatrix() {
+  const int kCardinality[11] = {3, 4, 5, 6, 8, 10, 12, 16, 20, 30, 40};
+  Rng rng(11);
+  FeatureMatrix data;
+  data.columns.resize(11);
+  for (int f = 0; f < 11; ++f) {
+    data.names.push_back("f" + std::to_string(f));
+    data.is_categorical.push_back(f % 2 == 0);
+  }
+  for (int i = 0; i < 1450; ++i) {
+    for (int f = 0; f < 11; ++f) {
+      auto v = static_cast<double>(rng.NextBounded(kCardinality[f]));
+      if (f % 2 == 0) v *= 7;  // sparse codes
+      if (f % 2 == 1) v = v * 0.5 + 1.0;
+      data.columns[f].push_back(rng.Bernoulli(0.05) ? std::nan("") : v);
+    }
+    int label = data.columns[0][i] == 0.0 || data.columns[3][i] > 2.0 ? 1 : 0;
+    if (rng.Bernoulli(0.1)) label = 1 - label;
+    data.labels.push_back(label);
+  }
+  return data;
+}
+
+void BM_ForestTrainLowCard(benchmark::State& state) {
+  const FeatureMatrix data = LowCardMatrix();
+  ForestOptions options;
+  options.num_trees = 10;
+  options.row_cap = 800;
+  Rng rng(5);
+  for (auto _ : state) {
+    Rng local = rng.Fork();
+    RandomForest forest;
+    forest.Train(data, options, &local);
+    benchmark::DoNotOptimize(forest.importances().data());
+  }
+}
+BENCHMARK(BM_ForestTrainLowCard);
+
+void BM_ClusterAttributes(benchmark::State& state) {
+  const FeatureMatrix data = LowCardMatrix();
+  const std::vector<double> relevance(data.num_features(), 1.0);
+  for (auto _ : state) {
+    AttributeClustering clustering = ClusterAttributes(data, relevance, 0.9);
+    benchmark::DoNotOptimize(clustering.representatives.data());
+  }
+}
+BENCHMARK(BM_ClusterAttributes);
 
 }  // namespace
 

@@ -498,12 +498,14 @@ std::vector<int> PatternMiner::SelectAttributes(const AptSliceSet& ss,
   for (int l : matrix.labels) (l == 0 ? has0 : has1) = true;
   if (!has0 || !has1) return eligible;
 
+  // One rank encoding serves the forest's split search and Cramer's V.
+  FeatureRanks ranks = EncodeRanks(matrix);
   RandomForest forest;
   ForestOptions options;
   options.num_trees = config_->forest_trees;
   options.tree.max_depth = config_->forest_max_depth;
   options.row_cap = config_->forest_row_cap;
-  forest.Train(matrix, options, rng);
+  forest.Train(matrix, ranks, options, rng);
   const std::vector<double>& importance = forest.importances();
 
   double total = 0;
@@ -517,11 +519,14 @@ std::vector<int> PatternMiner::SelectAttributes(const AptSliceSet& ss,
     if (importance[a] != importance[b]) return importance[a] > importance[b];
     return a < b;
   });
-  size_t keep = config_->sel_attr <= 1.0
-                    ? static_cast<size_t>(
-                          std::ceil(config_->sel_attr * eligible.size()))
-                    : static_cast<size_t>(config_->sel_attr);
-  keep = std::min(std::max<size_t>(keep, 1), eligible.size());
+  // sel_attr is non-negative and not NaN (MineSlices checks); clamping in
+  // double keeps huge counts from overflowing the cast.
+  const double num_eligible = static_cast<double>(eligible.size());
+  const double want = config_->sel_attr <= 1.0
+                          ? std::ceil(config_->sel_attr * num_eligible)
+                          : config_->sel_attr;
+  size_t keep = static_cast<size_t>(std::min(want, num_eligible));
+  keep = std::max<size_t>(keep, 1);
   ranked.resize(keep);
   // Drop zero-importance attributes outright: they are constant or useless
   // for separating the two outputs, and patterns quoting them mislead users
@@ -530,18 +535,22 @@ std::vector<int> PatternMiner::SelectAttributes(const AptSliceSet& ss,
     ranked.pop_back();
   }
 
-  // Cluster the kept attributes; one representative per cluster.
+  // Cluster the kept attributes; one representative per cluster. The
+  // forest is done with the matrix, so the kept columns move out of it.
   FeatureMatrix kept;
+  FeatureRanks kept_ranks;
   std::vector<double> kept_importance;
   for (int fi : ranked) {
-    kept.names.push_back(matrix.names[fi]);
+    kept.names.push_back(std::move(matrix.names[fi]));
     kept.is_categorical.push_back(matrix.is_categorical[fi]);
-    kept.columns.push_back(matrix.columns[fi]);
+    kept.columns.push_back(std::move(matrix.columns[fi]));
+    kept_ranks.ranks.push_back(std::move(ranks.ranks[fi]));
+    kept_ranks.num_ranks.push_back(ranks.num_ranks[fi]);
     kept_importance.push_back(importance[fi]);
   }
-  kept.labels = matrix.labels;
-  AttributeClustering clustering =
-      ClusterAttributes(kept, kept_importance, config_->cluster_threshold);
+  kept.labels = std::move(matrix.labels);
+  AttributeClustering clustering = ClusterAttributes(
+      kept, kept_ranks, kept_importance, config_->cluster_threshold);
 
   std::vector<int> out;
   for (int rep : clustering.representatives) {
@@ -565,6 +574,21 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
 Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
                                             const PtClasses& classes,
                                             Rng* rng) const {
+  // Knobs that reach integer casts or container sizes: a bad value is the
+  // caller's error, not a crash or an internal failure deep in training.
+  if (std::isnan(config_->sel_attr) || config_->sel_attr < 0) {
+    return Status::InvalidArgument("sel_attr must be a non-negative number");
+  }
+  if (std::isnan(config_->pat_sample_rate) || config_->pat_sample_rate < 0) {
+    return Status::InvalidArgument(
+        "pat_sample_rate must be a non-negative number");
+  }
+  if (config_->forest_trees < 0) {
+    return Status::InvalidArgument("forest_trees must be >= 0");
+  }
+  if (config_->forest_max_depth < -1) {
+    return Status::InvalidArgument("forest_max_depth must be >= -1");
+  }
   MineResult result;
   result.apt_rows = ss.total_rows;
   result.num_attributes = ss.pattern_cols->size();
@@ -599,8 +623,12 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   std::vector<LcaCandidate> candidates;
   {
     ScopedStep step(profiler_, "Gen. Pat. Cand.");
-    size_t sample = static_cast<size_t>(config_->pat_sample_rate *
-                                        static_cast<double>(ss.total_rows));
+    // Compared in double first, so a huge rate never overflows the cast.
+    const double want =
+        config_->pat_sample_rate * static_cast<double>(ss.total_rows);
+    size_t sample = want >= static_cast<double>(config_->pat_sample_cap)
+                        ? config_->pat_sample_cap
+                        : static_cast<size_t>(want);
     sample = std::min(std::max<size_t>(sample, 16), config_->pat_sample_cap);
     candidates = GenerateLcaCandidates(ss, cat_attrs, sample, rng);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 namespace cajade {
@@ -28,41 +27,70 @@ double PearsonAbs(const std::vector<double>& x, const std::vector<double>& y) {
   return std::min(1.0, std::fabs(cov) / std::sqrt(vx * vy));
 }
 
-double CramersV(const std::vector<double>& x, const std::vector<double>& y) {
-  // Contingency table over observed code pairs.
-  std::map<std::pair<int64_t, int64_t>, double> joint;
-  std::map<int64_t, double> mx, my;
-  double n = 0;
+double CramersV(const std::vector<int32_t>& x, int32_t num_x,
+                const std::vector<int32_t>& y, int32_t num_y) {
+  // Marginals over the rows where both values are non-NaN.
+  std::vector<uint32_t> mx(static_cast<size_t>(num_x), 0);
+  std::vector<uint32_t> my(static_cast<size_t>(num_y), 0);
+  size_t rows = 0;
   for (size_t i = 0; i < x.size(); ++i) {
-    if (std::isnan(x[i]) || std::isnan(y[i])) continue;
-    auto a = static_cast<int64_t>(x[i]);
-    auto b = static_cast<int64_t>(y[i]);
-    joint[{a, b}] += 1;
-    mx[a] += 1;
-    my[b] += 1;
-    n += 1;
+    if (x[i] == num_x || y[i] == num_y) continue;
+    ++mx[x[i]];
+    ++my[y[i]];
+    ++rows;
   }
-  if (n < 2 || mx.size() < 2 || my.size() < 2) {
+  std::vector<int32_t> ys;  // y ranks with a non-zero marginal, ascending
+  for (int32_t b = 0; b < num_y; ++b) {
+    if (my[b] > 0) ys.push_back(b);
+  }
+  size_t kx = 0;
+  for (uint32_t c : mx) kx += c > 0 ? 1 : 0;
+  const size_t ky = ys.size();
+  const auto n = static_cast<double>(rows);
+  if (rows < 2 || kx < 2 || ky < 2) {
     // A constant attribute is perfectly "explained": treat as no association
     // unless both are constant (then they are trivially redundant).
-    return (mx.size() <= 1 && my.size() <= 1) ? 1.0 : 0.0;
+    return (kx <= 1 && ky <= 1) ? 1.0 : 0.0;
   }
-  // Chi-squared over the full grid: zero-observed cells still contribute
-  // their expected counts.
-  double chi2 = 0.0;
-  for (const auto& [a, count_a] : mx) {
-    for (const auto& [b, count_b] : my) {
-      double expected = count_a * count_b / n;
-      if (expected <= 0) continue;
-      auto it = joint.find({a, b});
-      double observed = it == joint.end() ? 0.0 : it->second;
-      double d = observed - expected;
-      chi2 += d * d / expected;
+
+  // Group the counted rows' y ranks by x rank (counting sort), so each x
+  // rank's table row is scattered into `cell`, walked and cleared alone.
+  std::vector<size_t> begin(static_cast<size_t>(num_x) + 1, 0);
+  for (int32_t a = 0; a < num_x; ++a) begin[a + 1] = begin[a] + mx[a];
+  std::vector<int32_t> y_by_x(rows);
+  {
+    std::vector<size_t> fill(begin.begin(), begin.end() - 1);
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i] == num_x || y[i] == num_y) continue;
+      y_by_x[fill[x[i]]++] = y[i];
     }
   }
-  double k = static_cast<double>(std::min(mx.size(), my.size()));
+  // Chi-squared over the full grid of non-zero marginals, in ascending
+  // (x, y) order: zero-observed cells still contribute their expected
+  // counts.
+  std::vector<uint32_t> cell(static_cast<size_t>(num_y), 0);
+  double chi2 = 0.0;
+  for (int32_t a = 0; a < num_x; ++a) {
+    if (mx[a] == 0) continue;
+    for (size_t i = begin[a]; i < begin[a + 1]; ++i) ++cell[y_by_x[i]];
+    const auto count_a = static_cast<double>(mx[a]);
+    for (int32_t b : ys) {
+      double expected = count_a * static_cast<double>(my[b]) / n;
+      double d = static_cast<double>(cell[b]) - expected;
+      chi2 += d * d / expected;
+    }
+    for (size_t i = begin[a]; i < begin[a + 1]; ++i) cell[y_by_x[i]] = 0;
+  }
+  double k = static_cast<double>(std::min(kx, ky));
   double v = std::sqrt(chi2 / (n * (k - 1.0)));
   return std::min(1.0, v);
+}
+
+double CramersV(const std::vector<double>& x, const std::vector<double>& y) {
+  int32_t num_x = 0, num_y = 0;
+  std::vector<int32_t> rx = RankColumn(x, &num_x);
+  std::vector<int32_t> ry = RankColumn(y, &num_y);
+  return CramersV(rx, num_x, ry, num_y);
 }
 
 double CorrelationRatio(const std::vector<double>& categories,
@@ -94,11 +122,15 @@ double CorrelationRatio(const std::vector<double>& categories,
   return std::min(1.0, std::sqrt(between / total_var));
 }
 
-double Association(const FeatureMatrix& data, int f1, int f2) {
+double Association(const FeatureMatrix& data, const FeatureRanks& ranks,
+                   int f1, int f2) {
   bool c1 = data.is_categorical[f1];
   bool c2 = data.is_categorical[f2];
   if (!c1 && !c2) return PearsonAbs(data.columns[f1], data.columns[f2]);
-  if (c1 && c2) return CramersV(data.columns[f1], data.columns[f2]);
+  if (c1 && c2) {
+    return CramersV(ranks.ranks[f1], ranks.num_ranks[f1], ranks.ranks[f2],
+                    ranks.num_ranks[f2]);
+  }
   return c1 ? CorrelationRatio(data.columns[f1], data.columns[f2])
             : CorrelationRatio(data.columns[f2], data.columns[f1]);
 }

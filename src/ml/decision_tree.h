@@ -3,21 +3,24 @@
 // Substrate for the random forest used in attribute relevance filtering
 // (paper Section 3.1).
 //
-// Training is allocation-light: split evaluation gathers the node's values
-// and labels once per feature and accumulates every candidate's left-side
-// class counts in a single branch-free fused pass (instead of one branchy
-// pass over the rows per candidate), candidate dedup is a linear scan over
-// the bounded candidate buffer (instead of a hash set per feature per
-// node), and partition/candidate storage comes from a per-depth scratch
-// arena reused across the whole tree. The chosen splits, importances, and
-// RNG draw sequence are identical to the naive implementation: same
-// candidates in the same order, same exact counts, same
+// Split search runs on the matrix's rank encoding (FeatureRanks), so each
+// (node, feature) costs O(n) instead of O(n * k) for n node rows and k
+// candidates: candidates are collected with a per-rank epoch stamp, and one
+// histogram pass packs (count, class-1 count) into a 64-bit bin per rank. A
+// numeric candidate's left side is the prefix sum through its rank (NaN
+// holds the top rank, so it falls right); a categorical candidate's is its
+// own bin. Only when a feature has more distinct values than n * k does a
+// node fall back to comparing every row's rank against every candidate's.
+// Counts are exact integers, so the chosen splits, importances and RNG draw
+// sequence are those of comparing the doubles row by row: same candidates
+// (same stride, first-seen order, NaN skip, cap, and -0.0/+0.0 kept as two
+// candidates, as a bit-pattern dedup would), same counts, same
 // strict-improvement tie-breaking.
 //
-// Ownership and thread-safety: training borrows the feature matrix read-only
-// and returns a caller-owned model, deterministic in the supplied Rng;
-// concurrent training runs need distinct Rng instances. Trained models are
-// immutable, so concurrent prediction is safe.
+// Ownership and thread-safety: training borrows the feature matrix and its
+// ranks read-only and returns a caller-owned model, deterministic in the
+// supplied Rng; concurrent training runs need distinct Rng instances.
+// Trained models are immutable, so concurrent prediction is safe.
 
 #ifndef CAJADE_ML_DECISION_TREE_H_
 #define CAJADE_ML_DECISION_TREE_H_
@@ -44,8 +47,14 @@ struct TreeOptions {
 /// \brief A trained CART tree.
 class DecisionTree {
  public:
-  /// Trains on `rows` (indexes into `data`). Importance (total weighted Gini
-  /// decrease per feature) is accumulated into `importance` when non-null.
+  /// Trains on `rows` (indexes into `data`); `ranks` must be
+  /// EncodeRanks(data). Importance (total weighted Gini decrease per
+  /// feature) is accumulated into `importance` when non-null.
+  void Train(const FeatureMatrix& data, const FeatureRanks& ranks,
+             const std::vector<int>& rows, const TreeOptions& options,
+             Rng* rng, std::vector<double>* importance = nullptr);
+
+  /// As above, rank-encoding `data` first.
   void Train(const FeatureMatrix& data, const std::vector<int>& rows,
              const TreeOptions& options, Rng* rng,
              std::vector<double>* importance = nullptr);
@@ -68,9 +77,10 @@ class DecisionTree {
 
   struct TrainScratch;
 
-  int Build(const FeatureMatrix& data, std::vector<int>& rows, int depth,
-            const TreeOptions& options, Rng* rng, std::vector<double>* importance,
-            size_t total_rows, TrainScratch& scratch);
+  int Build(const FeatureMatrix& data, const FeatureRanks& ranks,
+            std::vector<int>& rows, int depth, const TreeOptions& options,
+            Rng* rng, std::vector<double>* importance, size_t total_rows,
+            TrainScratch& scratch);
 
   std::vector<Node> nodes_;
 };

@@ -6,6 +6,11 @@ namespace cajade {
 
 void RandomForest::Train(const FeatureMatrix& data, const ForestOptions& options,
                          Rng* rng) {
+  Train(data, EncodeRanks(data), options, rng);
+}
+
+void RandomForest::Train(const FeatureMatrix& data, const FeatureRanks& ranks,
+                         const ForestOptions& options, Rng* rng) {
   trees_.clear();
   importances_.assign(data.num_features(), 0.0);
 
@@ -33,7 +38,7 @@ void RandomForest::Train(const FeatureMatrix& data, const ForestOptions& options
     for (size_t i = 0; i < pool.size(); ++i) {
       bootstrap[i] = pool[rng->NextBounded(pool.size())];
     }
-    tree.Train(data, bootstrap, tree_options, rng, &importances_);
+    tree.Train(data, ranks, bootstrap, tree_options, rng, &importances_);
   }
 
   double total = 0.0;

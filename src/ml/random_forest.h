@@ -3,10 +3,10 @@
 // ranked by how useful they are for predicting which of the two user-question
 // outputs an APT row belongs to.
 //
-// Ownership and thread-safety: training borrows the feature matrix read-only
-// and returns a caller-owned model, deterministic in the supplied Rng;
-// concurrent training runs need distinct Rng instances. Trained models are
-// immutable, so concurrent prediction is safe.
+// Ownership and thread-safety: training borrows the feature matrix and its
+// rank encoding read-only and returns a caller-owned model, deterministic in
+// the supplied Rng; concurrent training runs need distinct Rng instances.
+// Trained models are immutable, so concurrent prediction is safe.
 
 #ifndef CAJADE_ML_RANDOM_FOREST_H_
 #define CAJADE_ML_RANDOM_FOREST_H_
@@ -29,8 +29,13 @@ struct ForestOptions {
 /// \brief Bagged CART trees.
 class RandomForest {
  public:
-  /// Trains the ensemble; features_per_split defaults to sqrt(p) when the
-  /// caller left it at 0.
+  /// Trains the ensemble on `data` and its rank encoding `ranks`
+  /// (EncodeRanks(data)); features_per_split defaults to ceil(sqrt(p)) when
+  /// the caller left it at 0.
+  void Train(const FeatureMatrix& data, const FeatureRanks& ranks,
+             const ForestOptions& options, Rng* rng);
+
+  /// As above, rank-encoding `data` first.
   void Train(const FeatureMatrix& data, const ForestOptions& options, Rng* rng);
 
   /// Mean impurity-decrease importance per feature, normalized to sum 1

@@ -25,6 +25,13 @@ void Union(std::vector<int>& parent, int a, int b) {
 AttributeClustering ClusterAttributes(const FeatureMatrix& data,
                                       const std::vector<double>& relevance,
                                       double threshold) {
+  return ClusterAttributes(data, EncodeRanks(data), relevance, threshold);
+}
+
+AttributeClustering ClusterAttributes(const FeatureMatrix& data,
+                                      const FeatureRanks& ranks,
+                                      const std::vector<double>& relevance,
+                                      double threshold) {
   const int p = static_cast<int>(data.num_features());
   std::vector<int> parent(p);
   std::iota(parent.begin(), parent.end(), 0);
@@ -32,7 +39,7 @@ AttributeClustering ClusterAttributes(const FeatureMatrix& data,
   for (int i = 0; i < p; ++i) {
     for (int j = i + 1; j < p; ++j) {
       if (Find(parent, i) == Find(parent, j)) continue;
-      if (Association(data, i, j) >= threshold) Union(parent, i, j);
+      if (Association(data, ranks, i, j) >= threshold) Union(parent, i, j);
     }
   }
 

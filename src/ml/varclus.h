@@ -5,8 +5,8 @@
 // applies; we use threshold-based agglomeration over pairwise association.
 //
 // Ownership and thread-safety: stateless clustering over a borrowed
-// read-only correlation matrix; the returned clusters are fresh caller-owned
-// values, so concurrent calls are safe.
+// read-only feature matrix and rank encoding; the returned clusters are
+// fresh caller-owned values, so concurrent calls are safe.
 
 #ifndef CAJADE_ML_VARCLUS_H_
 #define CAJADE_ML_VARCLUS_H_
@@ -25,8 +25,15 @@ struct AttributeClustering {
 };
 
 /// Clusters the features of `data` whose pairwise association exceeds
-/// `threshold` (union-find agglomeration). The representative of a cluster
-/// is its member with the highest `relevance` (ties: lowest index).
+/// `threshold` (union-find agglomeration); `ranks` must be
+/// EncodeRanks(data). The representative of a cluster is its member with
+/// the highest `relevance` (ties: lowest index).
+AttributeClustering ClusterAttributes(const FeatureMatrix& data,
+                                      const FeatureRanks& ranks,
+                                      const std::vector<double>& relevance,
+                                      double threshold = 0.9);
+
+/// As above, rank-encoding `data` first.
 AttributeClustering ClusterAttributes(const FeatureMatrix& data,
                                       const std::vector<double>& relevance,
                                       double threshold = 0.9);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "src/core/config.h"
@@ -614,6 +615,70 @@ TEST(MinerTest, ExactSupportsMatchScalarOracle) {
       }
     }
   }
+}
+
+/// Mines MakeMinerApt's APT, whole and in 7-position shards, under
+/// `config` and returns both statuses' codes.
+std::vector<StatusCode> MineCodes(const CajadeConfig& config) {
+  Rng gen(77);
+  const GeneratedApt g = MakeMinerApt(&gen);
+  PatternMiner miner(&config, nullptr);
+  Rng rng(9);
+  Rng sharded_rng(9);
+  return {miner.Mine(g.apt, g.classes, &rng).status().code(),
+          miner.Mine(SplitApt(g.apt, 7), g.classes, &sharded_rng)
+              .status()
+              .code()};
+}
+
+const std::vector<StatusCode> kBothOk = {StatusCode::kOk, StatusCode::kOk};
+const std::vector<StatusCode> kBothInvalid = {StatusCode::kInvalidArgument,
+                                              StatusCode::kInvalidArgument};
+
+// Each knob below reaches an integer cast or a container size inside the
+// miner; a bad value must be InvalidArgument up front, never undefined
+// behaviour or an exception from training. The boundary values and huge
+// values (clamped before any cast) still mine.
+TEST(MinerKnobTest, SelAttrNegativeOrNanRejected) {
+  for (double v : {-0.5, -3.0, std::nan("")}) {
+    CajadeConfig config;
+    config.sel_attr = v;
+    EXPECT_EQ(MineCodes(config), kBothInvalid) << v;
+  }
+  for (double v : {0.0, 1.0, 2.5, 1e300, HUGE_VAL}) {
+    CajadeConfig config;
+    config.sel_attr = v;
+    EXPECT_EQ(MineCodes(config), kBothOk) << v;
+  }
+}
+
+TEST(MinerKnobTest, PatSampleRateNegativeOrNanRejected) {
+  for (double v : {-0.1, std::nan("")}) {
+    CajadeConfig config;
+    config.pat_sample_rate = v;
+    EXPECT_EQ(MineCodes(config), kBothInvalid) << v;
+  }
+  for (double v : {0.0, 1.0, 1e300, HUGE_VAL}) {
+    CajadeConfig config;
+    config.pat_sample_rate = v;
+    EXPECT_EQ(MineCodes(config), kBothOk) << v;
+  }
+}
+
+TEST(MinerKnobTest, NegativeForestTreesRejected) {
+  CajadeConfig config;
+  config.forest_trees = -1;
+  EXPECT_EQ(MineCodes(config), kBothInvalid);
+  config.forest_trees = 0;  // no trees: nothing learned, every attr kept
+  EXPECT_EQ(MineCodes(config), kBothOk);
+}
+
+TEST(MinerKnobTest, ForestMaxDepthBelowMinusOneRejected) {
+  CajadeConfig config;
+  config.forest_max_depth = -2;
+  EXPECT_EQ(MineCodes(config), kBothInvalid);
+  config.forest_max_depth = -1;  // root-only trees
+  EXPECT_EQ(MineCodes(config), kBothOk);
 }
 
 TEST(MinerTest, MaxNumericAttrsRespected) {
